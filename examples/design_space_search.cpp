@@ -11,7 +11,9 @@
 #include "analytic/parcel_model.hpp"
 #include "arch/host_system.hpp"
 #include "arch/params.hpp"
+#include "common/stats.hpp"
 #include "core/design_space.hpp"
+#include "core/experiment.hpp"
 #include "core/sweep.hpp"
 
 int main() {
@@ -103,26 +105,29 @@ int main() {
 
   // --- 6. simulated confirmation of the map, swept in parallel ----------
   // The analytic regime map above is instant; confirming it by simulation
-  // is a (N, %WL) x replications grid — exactly what SweepRunner fans
-  // across cores.  Means carry 95% CI half-widths from 3 replications.
+  // is a (N, %WL) grid of independent points — exactly what SweepRunner
+  // fans across cores.  Means carry 95% CI half-widths from 3 replications
+  // on the same seed stream at every point.
   const std::vector<std::size_t> sweep_nodes{1, 4, 16, 64};
   const std::vector<double> sweep_fractions{0.3, 0.5, 0.7, 0.9};
   core::SweepRunner runner;  // one thread per core
   std::printf("\nsimulated gain map (%zu-thread sweep, mean +/- 95%% CI):\n",
               runner.threads());
-  const std::vector<Estimate> gains = runner.sweep(
-      sweep_nodes.size() * sweep_fractions.size(), /*replications=*/3,
-      /*base_seed=*/1,
-      [&](std::size_t idx, std::uint64_t seed) {
-        arch::HostConfig point;
-        point.workload.total_ops = 2'000'000;
-        point.batch_ops = 20'000;
-        point.lwp_nodes = sweep_nodes[idx / sweep_fractions.size()];
-        point.workload.lwp_fraction =
-            sweep_fractions[idx % sweep_fractions.size()];
-        point.seed = seed;
-        return arch::simulated_gain(point);
-      });
+  const std::vector<std::uint64_t> seeds = core::replication_seeds(3, 1);
+  std::vector<Estimate> gains(sweep_nodes.size() * sweep_fractions.size());
+  runner.for_each(gains.size(), [&](std::size_t idx) {
+    RunningStats stats;
+    for (const std::uint64_t seed : seeds) {
+      arch::HostConfig point;
+      point.workload.total_ops = 2'000'000;
+      point.batch_ops = 20'000;
+      point.lwp_nodes = sweep_nodes[idx / sweep_fractions.size()];
+      point.workload.lwp_fraction = sweep_fractions[idx % sweep_fractions.size()];
+      point.seed = seed;
+      stats.add(arch::simulated_gain(point));
+    }
+    gains[idx] = estimate_from(stats);
+  });
   std::printf("%-8s", "");
   for (double pct : sweep_fractions) std::printf("%-16.0f", pct * 100.0);
   std::printf("\n");

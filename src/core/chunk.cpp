@@ -9,44 +9,13 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/scenario.hpp"
 
 namespace pimsim::core {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string json_unescape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (in[i] != '\\' || i + 1 == in.size()) {
-      out.push_back(in[i]);
-      continue;
-    }
-    switch (in[++i]) {
-      case 'n': out.push_back('\n'); break;
-      case 't': out.push_back('\t'); break;
-      default: out.push_back(in[i]);  // \" and \\ (and anything else verbatim)
-    }
-  }
-  return out;
-}
 
 std::string hex_encode(const std::string& bytes) {
   static const char* kDigits = "0123456789abcdef";

@@ -14,6 +14,7 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/chunk.hpp"
 #include "core/experiment.hpp"
@@ -38,11 +39,10 @@ usage:
   pimsim run <scenario> [key=value ...] [format=text|csv|json] [out=PATH]
               [audit=1] [trace=PATH] [metrics=PATH] [profile=1]
       Runs one scenario.  Unknown keys and mistyped values fail loudly,
-      listing the scenario's valid keys.  format defaults to text
-      (csv=1 is accepted as an alias for format=csv); out defaults to
-      stdout.  audit=1 turns on the event kernel's determinism audit
-      (event-chain hashing + invariant sweeps; see docs/DETERMINISM.md)
-      and reports the chain summary on stderr.
+      listing the scenario's valid keys.  format defaults to text;
+      out defaults to stdout.  audit=1 turns on the event kernel's
+      determinism audit (event-chain hashing + invariant sweeps; see
+      docs/DETERMINISM.md) and reports the chain summary on stderr.
       Scenarios with a `reps` knob run reps= seed-streamed replications
       (one SplitMix64-derived seed per rep; see docs/REPLICATION.md)
       and emit a `<col> ±` 95% half-width companion per column; reps=1
@@ -119,20 +119,6 @@ void print_param_lines(std::ostream& os, const Scenario& s) {
     os << ") — " << p.doc << "\n";
   }
   if (s.params.empty()) os << "    (no parameters)\n";
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 void print_list_json(std::ostream& os) {
@@ -227,15 +213,7 @@ void preflight_out(const Config& cfg) {
 }
 
 std::string format_of(const Config& cfg) {
-  // csv=1 is a bench_* compatibility alias, honored only when format=
-  // is absent — an explicit format= always wins (and gets validated).
-  std::string format;
-  if (cfg.has("format")) {
-    format = cfg.get_string("format", "text");
-    (void)cfg.get_bool("csv", false);  // consume the alias key if present
-  } else {
-    format = cfg.get_bool("csv", false) ? "csv" : "text";
-  }
+  const std::string format = cfg.get_string("format", "text");
   // Validate up front, before a potentially long generation run.
   if (format != "text" && format != "csv" && format != "json") {
     throw InvalidArgument("pimsim: unknown format '" + format +
@@ -358,7 +336,7 @@ int cmd_run(const std::vector<std::string>& args) {
   const auto start = std::chrono::steady_clock::now();
   const Table table = run_scenario(
       scenario, cfg,
-      {"csv", "format", "out", "audit", "trace", "metrics", "profile"});
+      {"format", "out", "audit", "trace", "metrics", "profile"});
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -579,12 +557,12 @@ int run_shard(const Scenario& scenario, const Config& cli,
       tables[i] = std::make_unique<Table>(
           grid.point_reps[point] == 1
               ? run_scenario(scenario, points[point].cfg,
-                             {"csv", "format", "out"})
+                             {"format", "out"})
               : run_replication(scenario, points[point].cfg, rep,
-                                {"csv", "format", "out"}));
+                                {"format", "out"}));
     } else {
       tables[i] = std::make_unique<Table>(run_scenario(
-          scenario, points[mine[i]].cfg, {"csv", "format", "out"}));
+          scenario, points[mine[i]].cfg, {"format", "out"}));
     }
   });
   const double elapsed = std::chrono::duration<double>(
@@ -641,8 +619,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
   Config merged = Config::from_string(text);
   // Driver keys in the file would be silently shadowed by the CLI's
   // (format) or mistaken for scenario parameters (jobs) — reject loudly.
-  for (const char* driver : {"config", "jobs", "format", "out", "csv",
-                             "metrics", "profile", "shard"}) {
+  for (const char* driver :
+       {"config", "jobs", "format", "out", "metrics", "profile", "shard"}) {
     require(!merged.has(driver),
             std::string("pimsim sweep: driver key '") + driver +
                 "' belongs on the command line, not in config file '" +
@@ -672,8 +650,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     if (eq == std::string::npos) continue;
     const std::string key = token.substr(0, eq);
     if (key == "config" || key == "jobs" || key == "format" || key == "out" ||
-        key == "csv" || key == "metrics" || key == "profile" ||
-        key == "shard") {
+        key == "metrics" || key == "profile" || key == "shard") {
       continue;
     }
     merged.set(key, cli.get_string(key, ""));
@@ -706,7 +683,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
   SweepRunner runner(jobs);
   runner.for_each(points.size(), [&](std::size_t i) {
     tables[i] = std::make_unique<Table>(
-        run_scenario(scenario, points[i].cfg, {"csv", "format", "out"}));
+        run_scenario(scenario, points[i].cfg, {"format", "out"}));
   });
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 
 namespace pimsim::core {
 
@@ -34,18 +35,6 @@ std::vector<double> linspace(double lo, double hi, std::size_t count) {
 
 std::vector<double> fraction_range(std::size_t steps) {
   return linspace(0.0, 1.0, steps + 1);
-}
-
-Estimate replicate(std::size_t replications, std::uint64_t base_seed,
-                   const std::function<double(std::uint64_t)>& measure) {
-  require(replications >= 1, "replicate: need at least one replication");
-  require(static_cast<bool>(measure), "replicate: empty measurement");
-  RunningStats stats;
-  SplitMix64 seeder(base_seed);
-  for (std::size_t i = 0; i < replications; ++i) {
-    stats.add(measure(seeder.next()));
-  }
-  return estimate_from(stats);
 }
 
 std::vector<std::uint64_t> replication_seeds(std::size_t reps,

@@ -6,11 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/table.hpp"
 
 namespace pimsim::core {
@@ -25,12 +23,6 @@ namespace pimsim::core {
 /// {0.0, 0.1, ..., 1.0} — the %WL axis of Figures 5-7.
 [[nodiscard]] std::vector<double> fraction_range(std::size_t steps = 10);
 
-/// Runs `measure(seed)` for `replications` derived seeds and returns the
-/// mean with a 95% confidence half-width.
-[[nodiscard]] Estimate replicate(
-    std::size_t replications, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t seed)>& measure);
-
 // --- table-level replication engine (docs/REPLICATION.md) -----------------
 //
 // `run_scenario` drives any scenario declaring a `reps` knob through R
@@ -41,8 +33,8 @@ namespace pimsim::core {
 // the unsharded fold.
 
 /// The per-replication seeds for `reps` replications of `base_seed`: the
-/// first `reps` outputs of SplitMix64(base_seed), the same stream
-/// convention as `replicate()`.  Replication r is reproducible from
+/// first `reps` outputs of SplitMix64(base_seed).  Replication r is
+/// reproducible from
 /// (base_seed, r) alone — independent of event interleaving, thread
 /// count, and which process computes it.
 [[nodiscard]] std::vector<std::uint64_t> replication_seeds(

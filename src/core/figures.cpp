@@ -87,21 +87,22 @@ Table make_fig5(const HostFigureConfig& config) {
 
   // Fan the (%WL, N) grid across cores; point order fixes the table layout.
   const std::size_t n_cols = config.node_counts.size();
+  // Every point runs on the same seed (common random numbers).
+  const std::uint64_t seed = replication_seeds(1, config.base.seed)[0];
+  std::vector<double> gains(config.lwp_fractions.size() * n_cols);
   SweepRunner runner(config.sweep_threads);
-  const std::vector<Estimate> estimates = runner.sweep(
-      config.lwp_fractions.size() * n_cols, /*replications=*/1,
-      config.base.seed, [&config, n_cols](std::size_t idx, std::uint64_t seed) {
-        arch::HostConfig point = config.base;
-        point.workload.lwp_fraction = config.lwp_fractions[idx / n_cols];
-        point.lwp_nodes = config.node_counts[idx % n_cols];
-        point.seed = seed;
-        return arch::simulated_gain(point);
-      });
+  runner.for_each(gains.size(), [&](std::size_t idx) {
+    arch::HostConfig point = config.base;
+    point.workload.lwp_fraction = config.lwp_fractions[idx / n_cols];
+    point.lwp_nodes = config.node_counts[idx % n_cols];
+    point.seed = seed;
+    gains[idx] = arch::simulated_gain(point);
+  });
 
   for (std::size_t pi = 0; pi < config.lwp_fractions.size(); ++pi) {
     std::vector<Cell> row{config.lwp_fractions[pi] * 100.0};
     for (std::size_t ni = 0; ni < n_cols; ++ni) {
-      row.push_back(estimates[pi * n_cols + ni].mean);
+      row.push_back(gains[pi * n_cols + ni]);
     }
     t.add_row(std::move(row));
   }
@@ -119,21 +120,21 @@ Table make_fig6(const HostFigureConfig& config) {
           cols);
 
   const std::size_t n_cols = config.lwp_fractions.size();
+  const std::uint64_t seed = replication_seeds(1, config.base.seed)[0];
+  std::vector<double> times(config.node_counts.size() * n_cols);
   SweepRunner runner(config.sweep_threads);
-  const std::vector<Estimate> estimates = runner.sweep(
-      config.node_counts.size() * n_cols, /*replications=*/1,
-      config.base.seed, [&config, n_cols](std::size_t idx, std::uint64_t seed) {
-        arch::HostConfig point = config.base;
-        point.lwp_nodes = config.node_counts[idx / n_cols];
-        point.workload.lwp_fraction = config.lwp_fractions[idx % n_cols];
-        point.seed = seed;
-        return arch::run_host_system(point).total_ns(point.params);
-      });
+  runner.for_each(times.size(), [&](std::size_t idx) {
+    arch::HostConfig point = config.base;
+    point.lwp_nodes = config.node_counts[idx / n_cols];
+    point.workload.lwp_fraction = config.lwp_fractions[idx % n_cols];
+    point.seed = seed;
+    times[idx] = arch::run_host_system(point).total_ns(point.params);
+  });
 
   for (std::size_t ni = 0; ni < config.node_counts.size(); ++ni) {
     std::vector<Cell> row{static_cast<std::int64_t>(config.node_counts[ni])};
     for (std::size_t pi = 0; pi < n_cols; ++pi) {
-      row.push_back(estimates[ni * n_cols + pi].mean);
+      row.push_back(times[ni * n_cols + pi]);
     }
     t.add_row(std::move(row));
   }

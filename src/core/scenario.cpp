@@ -15,6 +15,7 @@
 #include "arch/mtlwp.hpp"
 #include "arch/params.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
@@ -266,12 +267,7 @@ Table run_scenario(const std::string& name, const Config& cfg,
 }
 
 std::uint64_t data_fingerprint(const std::string& data) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
-  for (const unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return fnv1a(kFnvOffsetShort, data);
 }
 
 std::uint64_t table_fingerprint(const Table& table) {
@@ -281,11 +277,6 @@ std::uint64_t table_fingerprint(const Table& table) {
 }
 
 // --- built-in scenarios ---------------------------------------------------
-//
-// Each registration is the former bench_* main body, verbatim: the bench
-// binaries now route through these (bench::run_scenario_main), so their
-// output is bitwise-identical to the pre-registry binaries by
-// construction, and `pimsim run <name>` matches both.
 
 namespace {
 

@@ -4,10 +4,8 @@
 // itself as a named Scenario with typed, self-describing parameters
 // (name, default, range, doc string) and a generator returning the
 // common::Table it plots.  The `pimsim` CLI (src/core/cli.hpp) drives the
-// registry — list / run / sweep / verify — and the bench_* binaries are
-// thin wrappers over the same registrations (bench::run_scenario_main),
-// so a new workload or topology study is ~30 lines of registration
-// instead of a new build target.
+// registry — list / run / sweep / verify — so a new workload or topology
+// study is ~30 lines of registration instead of a new build target.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +53,7 @@ struct Scenario {
   /// planner's heaviest-first balance; unset (or throwing) scenarios
   /// weight every point equally.  Never affects results, only which
   /// shard computes a point.
-  std::function<double(const Config&)> cost_hint;
+  std::function<double(const Config&)> cost_hint{};
 };
 
 /// Name -> Scenario map with loud duplicate/lookup failures.

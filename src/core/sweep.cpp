@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "common/error.hpp"
-#include "core/experiment.hpp"
 
 namespace pimsim::core {
 
@@ -165,18 +164,6 @@ void SweepRunner::for_each(std::size_t count,
   std::unique_lock<std::mutex> lock(batch->mutex);
   batch->done_cv.wait(lock, [&batch] { return batch->done; });
   if (batch->error) std::rethrow_exception(batch->error);
-}
-
-std::vector<Estimate> SweepRunner::sweep(
-    std::size_t points, std::size_t replications, std::uint64_t base_seed,
-    const std::function<double(std::size_t, std::uint64_t)>& measure) {
-  require(static_cast<bool>(measure), "SweepRunner::sweep: empty measurement");
-  std::vector<Estimate> out(points);
-  for_each(points, [&](std::size_t i) {
-    out[i] = replicate(replications, base_seed,
-                       [&](std::uint64_t seed) { return measure(i, seed); });
-  });
-  return out;
 }
 
 }  // namespace pimsim::core

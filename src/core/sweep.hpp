@@ -5,11 +5,6 @@
 // computation whose result lands in a caller-indexed slot, so the aggregate
 // is bitwise-identical for any thread count given the same base seed: the
 // schedule decides only *when* a point runs, never *what* it computes.
-//
-// Seeding follows core::replicate's common-random-numbers convention: each
-// point replicates over the same seed stream derived from base_seed, which
-// both reduces variance when comparing configurations and keeps the parallel
-// figures numerically identical to the original serial sweeps.
 #pragma once
 
 #include <condition_variable>
@@ -20,8 +15,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "common/stats.hpp"
 
 namespace pimsim::core {
 
@@ -64,15 +57,6 @@ class SweepRunner {
   /// concurrently.  Returns once all indices have completed.  The first
   /// exception a body throws is rethrown here (remaining bodies are skipped).
   void for_each(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// Replicated sweep over `points` design points: for point i, runs
-  /// measure(i, seed) for `replications` seeds derived from base_seed exactly
-  /// as core::replicate does, and returns one Estimate per point, in point
-  /// order.  Deterministic for any thread count.
-  [[nodiscard]] std::vector<Estimate> sweep(
-      std::size_t points, std::size_t replications, std::uint64_t base_seed,
-      const std::function<double(std::size_t point, std::uint64_t seed)>&
-          measure);
 
  private:
   struct Batch;

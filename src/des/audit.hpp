@@ -32,6 +32,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/units.hpp"
 
 namespace pimsim::des {
@@ -48,9 +49,9 @@ class AuditLog {
   void record(SimTime time, std::uint64_t seq, std::uint8_t kind) {
     std::uint64_t bits;
     __builtin_memcpy(&bits, &time, sizeof(bits));
-    hash_ = mix(hash_, bits);
-    hash_ = mix(hash_, seq);
-    hash_ = mix(hash_, kind);
+    hash_ = fnv1a_word(hash_, bits);
+    hash_ = fnv1a_word(hash_, seq);
+    hash_ = fnv1a_word(hash_, kind);
     if (++events_ % kCheckpointInterval == 0) checkpoints_.push_back(hash_);
   }
 
@@ -64,18 +65,7 @@ class AuditLog {
   }
 
  private:
-  static constexpr std::uint64_t kOffset = 14695981039346656037ULL;
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-
-  /// FNV-1a over the 8 bytes of `word`, chained onto `h`.
-  static std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((word >> (8 * i)) & 0xffu)) * kPrime;
-    }
-    return h;
-  }
-
-  std::uint64_t hash_ = kOffset;
+  std::uint64_t hash_ = kFnvOffset;
   std::uint64_t events_ = 0;
   std::vector<std::uint64_t> checkpoints_;
 };

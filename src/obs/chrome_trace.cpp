@@ -7,24 +7,11 @@
 #include <ostream>
 #include <set>
 
+#include "common/json.hpp"
+
 namespace pimsim::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
 
 // Canonical bytes for one blob; used to order blobs deterministically.
 std::string serialize(const TraceBlob& blob) {

@@ -9,22 +9,12 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
+#include "common/json.hpp"
 
 namespace pimsim::obs {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -34,21 +24,6 @@ void put_u64(std::string& out, std::uint64_t v) {
 }
 
 void put_f64(std::string& out, double v) { put_u64(out, std::bit_cast<std::uint64_t>(v)); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -340,7 +315,9 @@ MetricsRegistry MetricsRegistry::deserialize(std::string_view bytes) {
   return reg;
 }
 
-std::uint64_t MetricsRegistry::fingerprint() const { return fnv1a(serialize()); }
+std::uint64_t MetricsRegistry::fingerprint() const {
+  return fnv1a(kFnvOffsetShort, serialize());
+}
 
 // ---------------------------------------------------------------------------
 // MetricsHub

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "des/process.hpp"
@@ -34,14 +35,6 @@ struct GoldenSummary {
   std::vector<double> first_deliveries;  ///< spot values for diagnostics
   std::vector<std::pair<std::size_t, std::uint64_t>> hist_bins;  ///< nonzero
 };
-
-inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// One generator per node; node ids congruent to 1 mod 4 blast the
 /// hotspot victim (node 0), the rest send to uniform random peers.
@@ -91,12 +84,12 @@ GoldenSummary run_golden(des::Simulation& sim, Network& net, int packets,
   s.delivered = net.packets_delivered();
   s.flit_hops = net.flit_hops();
   s.max_latency = net.latency_stats().max();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffset;
   for (double d : deliveries) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(d));
     __builtin_memcpy(&bits, &d, sizeof(bits));
-    h = fnv1a(h, bits);
+    h = fnv1a_word(h, bits);
   }
   s.delivery_hash = h;
   for (std::size_t i = 0; i < deliveries.size() && i < 8; ++i) {

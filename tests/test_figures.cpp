@@ -2,6 +2,7 @@
 // qualitative shapes on reduced grids.
 #include <gtest/gtest.h>
 
+#include "arch/host_system.hpp"
 #include "core/design_space.hpp"
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
@@ -32,19 +33,6 @@ TEST(Experiment, LinspaceEndpoints) {
   EXPECT_NEAR(xs[5], 0.5, 1e-12);
 }
 
-TEST(Experiment, ReplicateProducesTightIntervalForDeterministicMeasure) {
-  const Estimate e = replicate(5, 1, [](std::uint64_t) { return 3.0; });
-  EXPECT_DOUBLE_EQ(e.mean, 3.0);
-  EXPECT_DOUBLE_EQ(e.half_width, 0.0);
-}
-
-TEST(Experiment, ReplicateVariesWithSeed) {
-  const Estimate e = replicate(8, 1, [](std::uint64_t seed) {
-    return static_cast<double>(seed % 97);
-  });
-  EXPECT_GT(e.half_width, 0.0);
-}
-
 TEST(Table1, ContainsDerivedParameters) {
   const Table t = make_table1(arch::SystemParams::table1());
   EXPECT_EQ(t.rows(), 13u);
@@ -72,6 +60,26 @@ TEST(Fig5, GainGrowsWithNodesAndLwpFraction) {
   EXPECT_LT(t.number_at(1, 3), t.number_at(2, 3));
   // Headline scale: %WL=1, N=64 -> ~20x.
   EXPECT_NEAR(t.number_at(2, 3), 64.0 / 3.125, 2.0);
+}
+
+TEST(Fig5, EveryPointRunsOnTheFirstReplicationSeed) {
+  HostFigureConfig cfg;
+  cfg.base = fast_base();
+  cfg.node_counts = {1, 4};
+  cfg.lwp_fractions = {0.3, 0.9};
+  cfg.sweep_threads = 2;
+  const Table t = make_fig5(cfg);
+  const std::uint64_t seed = replication_seeds(1, cfg.base.seed)[0];
+  for (std::size_t pi = 0; pi < cfg.lwp_fractions.size(); ++pi) {
+    for (std::size_t ni = 0; ni < cfg.node_counts.size(); ++ni) {
+      arch::HostConfig point = cfg.base;
+      point.workload.lwp_fraction = cfg.lwp_fractions[pi];
+      point.lwp_nodes = cfg.node_counts[ni];
+      point.seed = seed;
+      EXPECT_EQ(t.number_at(pi, ni + 1), arch::simulated_gain(point))
+          << "%WL=" << cfg.lwp_fractions[pi] << " N=" << cfg.node_counts[ni];
+    }
+  }
 }
 
 TEST(Fig6, ResponseTimeShapesMatchPaperAxes) {

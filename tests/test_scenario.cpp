@@ -1,7 +1,7 @@
 // Scenario registry tests: lookup and duplicate rejection, typed
 // parameter validation (InvalidArgument listing the valid keys), and the
-// CLI-vs-bench equivalence contract — `pimsim run fig5` produces the
-// exact table make_fig5 produces, at any sweep_threads.
+// registry-vs-generator equivalence contract — `pimsim run fig5` produces
+// the exact table make_fig5 produces, at any sweep_threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,34 +109,42 @@ TEST(RunScenario, TypedParseErrorIsInvalidArgumentListingValidKeys) {
 }
 
 TEST(RunScenario, ExtraAllowedKeysAreTolerated) {
-  const Config cfg = Config::from_string("csv=1");
+  const Config cfg = Config::from_string("format=csv");
   EXPECT_THROW((void)run_scenario("table1", cfg), InvalidArgument);
-  const Table t = run_scenario("table1", cfg, {"csv"});
+  const Table t = run_scenario("table1", cfg, {"format"});
   EXPECT_EQ(t.rows(), 13u);
 }
 
-TEST(RunScenario, Fig5MatchesDirectGeneratorBitwiseAtAnySweepThreads) {
-  // The same reduced grid, once through the registry (as pimsim run and
-  // the bench_fig5 wrapper do) and once through make_fig5 directly.
-  HostFigureConfig direct = HostFigureConfig::defaults_fig5();
-  direct.node_counts = pow2_range(8);
-  direct.base.workload.total_ops = 200'000;
-  direct.base.batch_ops = 10'000;
-  direct.base.seed = 1;
-  direct.sweep_threads = 1;
-  const std::string expected = csv_of(make_fig5(direct));
+TEST(RunScenario, HostFiguresMatchDirectGeneratorBitwiseAtAnySweepThreads) {
+  // The same reduced grid, once through the registry (as pimsim run does)
+  // and once through make_fig5 / make_fig6 directly.
+  struct Case {
+    const char* name;
+    HostFigureConfig config;
+    Table (*make)(const HostFigureConfig&);
+  };
+  for (const Case& c : {Case{"fig5", HostFigureConfig::defaults_fig5(), make_fig5},
+                        Case{"fig6", HostFigureConfig::defaults_fig6(), make_fig6}}) {
+    HostFigureConfig direct = c.config;
+    direct.node_counts = pow2_range(8);
+    direct.base.workload.total_ops = 200'000;
+    direct.base.batch_ops = 10'000;
+    direct.base.seed = 1;
+    direct.sweep_threads = 1;
+    const std::string expected = csv_of(c.make(direct));
 
-  for (const char* threads : {"1", "2", "5"}) {
-    const Config cfg = Config::from_string(
-        std::string("maxnodes=8 ops=200000 batch=10000 threads=") + threads);
-    EXPECT_EQ(csv_of(run_scenario("fig5", cfg)), expected)
-        << "sweep_threads=" << threads;
+    for (const char* threads : {"1", "2", "5"}) {
+      const Config cfg = Config::from_string(
+          std::string("maxnodes=8 ops=200000 batch=10000 threads=") + threads);
+      EXPECT_EQ(csv_of(run_scenario(c.name, cfg)), expected)
+          << c.name << " sweep_threads=" << threads;
+    }
   }
 }
 
 TEST(RunScenario, Fig7ListAndScalarDefaultsMatchBenchDefaults) {
   // fig7 has no RNG and runs instantly: spot-check the registry path end
-  // to end against make_fig7 with the bench wrapper's exact axis logic.
+  // to end against make_fig7 with the registration's exact axis logic.
   const Table via_registry =
       run_scenario("fig7", Config::from_string("maxnodes=16"));
   arch::SystemParams params = arch::SystemParams::table1();

@@ -1,32 +1,18 @@
-// SweepRunner: parallel correctness, determinism across thread counts,
-// and edge cases.  The determinism tests are the engine's contract: the
-// schedule may reorder work, but every (point, seed) computation and its
-// aggregation are fixed by base_seed alone, so estimates must be
-// bitwise-identical for any thread count.
+// SweepRunner: parallel correctness and edge cases of for_each.  The
+// figures' determinism across thread counts is pinned end to end in
+// test_scenario.cpp (registry vs direct generator at any sweep_threads).
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "core/experiment.hpp"
 
 namespace pimsim::core {
 namespace {
-
-// A measurement with enough per-call work that a racy scheduler would
-// actually interleave: walks an Rng stream derived from (point, seed).
-double noisy_measure(std::size_t point, std::uint64_t seed) {
-  Rng rng(seed, /*stream_id=*/point);
-  double acc = 0.0;
-  for (int i = 0; i < 500; ++i) acc += rng.uniform();
-  return acc / 500.0 + static_cast<double>(point);
-}
 
 TEST(SweepRunner, ResolvesThreadCounts) {
   EXPECT_GE(SweepRunner(0).threads(), 1u);  // 0 = hardware concurrency
@@ -88,65 +74,6 @@ TEST(SweepRunner, ForEachRejectsEmptyBody) {
   SweepRunner runner(2);
   EXPECT_THROW(runner.for_each(3, std::function<void(std::size_t)>{}),
                ConfigError);
-}
-
-TEST(SweepRunner, SweepMatchesSerialReplicatePointwise) {
-  constexpr std::size_t kPoints = 12;
-  constexpr std::size_t kReps = 5;
-  constexpr std::uint64_t kSeed = 2026;
-  SweepRunner runner(4);
-  const std::vector<Estimate> parallel =
-      runner.sweep(kPoints, kReps, kSeed, noisy_measure);
-  ASSERT_EQ(parallel.size(), kPoints);
-  for (std::size_t p = 0; p < kPoints; ++p) {
-    const Estimate serial = replicate(kReps, kSeed, [p](std::uint64_t seed) {
-      return noisy_measure(p, seed);
-    });
-    EXPECT_EQ(parallel[p].mean, serial.mean) << "point " << p;
-    EXPECT_EQ(parallel[p].half_width, serial.half_width) << "point " << p;
-  }
-}
-
-TEST(SweepRunner, SweepIsBitwiseIdenticalAcrossThreadCounts) {
-  constexpr std::size_t kPoints = 40;
-  constexpr std::size_t kReps = 3;
-  constexpr std::uint64_t kSeed = 7;
-  SweepRunner serial(1);
-  const std::vector<Estimate> reference =
-      serial.sweep(kPoints, kReps, kSeed, noisy_measure);
-  for (std::size_t threads : {2, 4, 8}) {
-    SweepRunner runner(threads);
-    const std::vector<Estimate> estimates =
-        runner.sweep(kPoints, kReps, kSeed, noisy_measure);
-    ASSERT_EQ(estimates.size(), reference.size());
-    for (std::size_t p = 0; p < kPoints; ++p) {
-      EXPECT_EQ(estimates[p].mean, reference[p].mean)
-          << threads << " threads, point " << p;
-      EXPECT_EQ(estimates[p].half_width, reference[p].half_width)
-          << threads << " threads, point " << p;
-    }
-  }
-}
-
-TEST(SweepRunner, SweepHandlesEmptyAndSingletonGrids) {
-  SweepRunner runner(4);
-  EXPECT_TRUE(runner.sweep(0, 3, 1, noisy_measure).empty());
-  const std::vector<Estimate> one = runner.sweep(1, 3, 1, noisy_measure);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_TRUE(std::isfinite(one[0].mean));
-  EXPECT_GE(one[0].half_width, 0.0);
-}
-
-TEST(SweepRunner, SweepRejectsEmptyMeasurement) {
-  SweepRunner runner(2);
-  EXPECT_THROW(
-      {
-        const auto estimates = runner.sweep(
-            3, 3, 1, std::function<double(std::size_t, std::uint64_t)>{});
-        ADD_FAILURE() << "sweep accepted an empty measurement, returned "
-                      << estimates.size() << " estimates";
-      },
-      ConfigError);
 }
 
 }  // namespace
