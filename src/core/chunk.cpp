@@ -1,6 +1,7 @@
 #include "core/chunk.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -116,7 +117,13 @@ double find_number(const std::string& text, const std::string& key,
 std::size_t find_size(const std::string& text, const std::string& key,
                       const std::string& file) {
   const double v = find_number(text, key, file);
-  require(v >= 0.0, "pimsim: '" + file + "': negative field \"" + key + "\"");
+  // Integral and at most 2^53 (where doubles stop counting exactly): a
+  // fraction would truncate silently, and casting a double beyond
+  // size_t's range is undefined.
+  if (!(v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
+    throw InvalidArgument("pimsim: '" + file + "': field \"" + key +
+                          "\" is not an integer in [0, 2^53]");
+  }
   return static_cast<std::size_t>(v);
 }
 

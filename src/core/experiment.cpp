@@ -245,6 +245,9 @@ Table deserialize_table(const std::string& bytes) {
   const std::size_t n_cols =
       parse_count(next_line(in, "column count"), "bad column count");
   if (n_cols == 0) bad_rep("zero columns");
+  // Every column name takes at least its newline, so a count beyond the
+  // payload size is corrupt — and must not reach reserve() below.
+  if (n_cols > bytes.size()) bad_rep("column count exceeds payload");
   std::vector<std::string> columns;
   columns.reserve(n_cols);
   for (std::size_t c = 0; c < n_cols; ++c) {

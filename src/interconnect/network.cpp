@@ -1,7 +1,6 @@
 #include "interconnect/network.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -80,23 +79,10 @@ PacketNetwork::PacketNetwork(des::Simulation& sim, Topology topology,
   for (LinkState& link : links_) {
     link.credits = static_cast<std::int64_t>(cfg_.credits);
   }
-  // Elision margin: a deferred ejection release matures link_latency
-  // after its flit leaves the wire; until then the serializer can pop at
-  // most ceil(link_latency / flit_cycle) more flits.  One credit beyond
-  // that and no pop through the maturity instant can be decided by the
-  // release's visibility — in the original cascade a release landing on
-  // the same cycle as a pop became visible only after it, so the margin
-  // must make that pop succeed without it.  A strictly positive
-  // link_latency keeps maturities out of the current timestep.
-  if (cfg_.flit_cycle > 0.0 && cfg_.link_latency > 0.0) {
-    elide_need_ = static_cast<std::uint32_t>(
-        std::ceil(cfg_.link_latency / cfg_.flit_cycle)) + 1;
-  }
   // Lazily appended arrivals need a strictly positive wire latency (a
   // zero-latency arrival lands in the current timestep, i.e. must be a
-  // real event) and no router latency (which splits the old arrival into
-  // an arrive + a delayed enqueue with its own calendar position).
-  lazy_arrivals_ = cfg_.link_latency > 0.0 && cfg_.router_latency <= 0.0;
+  // real event).
+  lazy_arrivals_ = cfg_.link_latency > 0.0;
   if (sim_.metrics_enabled()) {
     m_latency_ = &sim_.metrics().summary("net.packet_latency_cycles");
   }
@@ -202,20 +188,11 @@ void PacketNetwork::on_event(void* self, std::uint64_t a, std::uint64_t b) {
   auto* net = static_cast<PacketNetwork*>(self);
   const auto link = static_cast<std::uint32_t>((a >> 8) & 0xffffffu);
   switch (static_cast<Ev>(a & 0xffu)) {
-    case Ev::kStart:
-      net->on_start(link);
-      return;
-    case Ev::kGrant:
-      net->on_grant(link);
-      return;
     case Ev::kAdvance:
       net->on_advance(link);
       return;
     case Ev::kArrive:
-      net->on_arrive(link, b, (a >> 32) != 0);
-      return;
-    case Ev::kFwd:
-      net->on_fwd(link, b, static_cast<std::uint32_t>(a >> 32));
+      net->on_arrive(link, b);
       return;
     case Ev::kLocal: {
       PacketRec& p = net->rec(b);
@@ -230,8 +207,8 @@ void PacketNetwork::on_event(void* self, std::uint64_t a, std::uint64_t b) {
       net->on_credit_wake(link);
       return;
     case Ev::kComplete:
-      // Final flit of an ejection train lands: free its buffer slot and
-      // finish the message (the train ledgered every earlier flit).
+      // A packet's final flit lands at its NIC: free its buffer slot and
+      // finish the message (every earlier flit's return was ledgered).
       net->release_credit(link);
       net->complete(b);
       return;
@@ -260,60 +237,30 @@ void PacketNetwork::push_run(LinkState& link, double first, double stride,
 }
 
 void PacketNetwork::fold_ledger(LinkState& link, double t) {
-  // The ledger holds only deferred credit returns.  In wormhole mode a
-  // blocked serializer is woken by a credit-wake event armed for the
-  // maturity cycle, so folding just banks matured credits (bulk per run:
-  // the occupancy decrement lands at the fold time, a shade late, which
-  // only smooths the mean-occupancy diagnostic).  In flit-interleaved
-  // mode the elision margin guarantees the link can never be starving
-  // while a return is pending, and each return is replayed at its exact
-  // cycle to keep the occupancy accumulator bit-identical to the
-  // pre-rewrite engine's.
+  // The ledger holds only deferred credit returns.  A blocked serializer
+  // is woken by a credit-wake event armed for the maturity cycle, so
+  // folding just banks matured credits (bulk per run: the occupancy
+  // decrement lands at the fold time, a shade late, which only smooths
+  // the mean-occupancy diagnostic).
   if (link.ledger.empty()) return;
-  if (cfg_.wormhole) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < link.ledger.size(); ++i) {
-      OpRun& run = link.ledger[i];
-      // Advance iteratively so maturity times stay bit-identical with the
-      // times a credit-wake was armed against (no recomputed products).
-      std::uint32_t due = 0;
-      while (run.left > 0 && run.first <= t) {
-        ++due;
-        --run.left;
-        run.first += run.stride;
-      }
-      if (due > 0) {
-        link.credits += due;
-        link.occupancy.add(t, -static_cast<double>(due));
-      }
-      if (run.left > 0) link.ledger[keep++] = run;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < link.ledger.size(); ++i) {
+    OpRun& run = link.ledger[i];
+    // Advance iteratively so maturity times stay bit-identical with the
+    // times a credit-wake was armed against (no recomputed products).
+    std::uint32_t due = 0;
+    while (run.left > 0 && run.first <= t) {
+      ++due;
+      --run.left;
+      run.first += run.stride;
     }
-    link.ledger.resize(keep);
-    return;
+    if (due > 0) {
+      link.credits += due;
+      link.occupancy.add(t, -static_cast<double>(due));
+    }
+    if (run.left > 0) link.ledger[keep++] = run;
   }
-  while (!link.ledger.empty()) {
-    // Earliest op across pending runs; a linear scan over the handful of
-    // active runs beats any ordering structure.
-    std::size_t best = link.ledger.size();
-    for (std::size_t i = 0; i < link.ledger.size(); ++i) {
-      const OpRun& run = link.ledger[i];
-      if (run.first > t) continue;
-      if (best == link.ledger.size() || run.first < link.ledger[best].first) {
-        best = i;
-      }
-    }
-    if (best == link.ledger.size()) return;
-    OpRun& run = link.ledger[best];
-    ensure(link.phase != Phase::kBlocked,
-           "PacketNetwork: deferred credit release on a blocked link");
-    link.occupancy.add(run.first, -1.0);
-    ++link.credits;
-    run.first += run.stride;
-    if (--run.left == 0) {
-      link.ledger.erase(link.ledger.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-    }
-  }
+  link.ledger.resize(keep);
 }
 
 // --- credit flow ---------------------------------------------------------
@@ -328,14 +275,7 @@ void PacketNetwork::release_credit(std::uint32_t li) {
     // release instant (occupancy never dips).
     link.occupancy.add(sim_.now(), 1.0);
     trace_occupancy(li);
-    if (cfg_.wormhole) {
-      // Restart the wire directly; the lane hop below only exists to
-      // reproduce the legacy engine's resume positions.
-      begin(li);
-      return;
-    }
-    link.phase = Phase::kGranted;
-    schedule_ev(sim_.now(), Ev::kGrant, li, 0);
+    begin(li);
   } else {
     ++link.credits;
   }
@@ -347,7 +287,6 @@ void PacketNetwork::arm_credit_wake(std::uint32_t li) {
   double earliest = 0.0;
   bool found = false;
   for (const OpRun& run : link.ledger) {
-
     if (!found || run.first < earliest) {
       earliest = run.first;
       found = true;
@@ -405,19 +344,12 @@ void PacketNetwork::arm_wake(std::uint32_t li, double ready,
 
 void PacketNetwork::poke(std::uint32_t li) {
   LinkState& link = links_[li];
-  if (link.phase != Phase::kIdle || link.start_pending) return;
+  if (link.phase != Phase::kIdle) return;
   SegRing* ring = fifo_front(link);
   if (ring == nullptr) return;
   const Segment& front = ring->front();
   if (front.ready <= sim_.now()) {
-    if (cfg_.wormhole) {
-      // Begin synchronously; the lane hop only reproduces the legacy
-      // engine's mailbox-resume positions.
-      try_begin(li);
-      return;
-    }
-    link.start_pending = true;
-    schedule_ev(sim_.now(), Ev::kStart, li, 0);
+    try_begin(li);
   } else {
     arm_wake(li, front.ready, front.key);
   }
@@ -426,19 +358,6 @@ void PacketNetwork::poke(std::uint32_t li) {
 void PacketNetwork::on_wake(std::uint32_t li) {
   links_[li].wake_armed = false;
   poke(li);
-}
-
-void PacketNetwork::on_start(std::uint32_t li) {
-  LinkState& link = links_[li];
-  link.start_pending = false;
-  ensure(link.phase == Phase::kIdle, "PacketNetwork: start on a busy link");
-  try_begin(li);
-}
-
-void PacketNetwork::on_grant(std::uint32_t li) {
-  LinkState& link = links_[li];
-  ensure(link.phase == Phase::kGranted, "PacketNetwork: grant lost its flit");
-  begin(li);
 }
 
 void PacketNetwork::begin(std::uint32_t li) {
@@ -462,11 +381,8 @@ void PacketNetwork::try_begin(std::uint32_t li) {
 
   const Handle packet = front.packet;
   const std::uint32_t from = front.from_link;
-  // Trains assume pure wire delay between hops; a router_latency keeps
-  // the (rarely used) per-flit switch-delay path authoritative.
-  if (cfg_.wormhole && cfg_.router_latency <= 0.0 && link.credits >= 2 &&
-      front.count >= 2) {
-    // Wormhole fast path: the head packet owns the wire for a whole run.
+  if (link.credits >= 2 && front.count >= 2) {
+    // Train fast path: the head packet owns the wire for a whole run.
     // Every flit of a segment is streamable (ready + i * stride never
     // trails the wire at one start per flit_cycle), so the train length
     // is just the segment bounded by available credits.
@@ -488,7 +404,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
   link.cur_from = from;
   if (link.credits == 0) {
     link.phase = Phase::kBlocked;
-    if (cfg_.wormhole) arm_credit_wake(li);
+    arm_credit_wake(li);
     return;
   }
   --link.credits;
@@ -497,7 +413,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
   begin(li);
 }
 
-// --- flit-train coalescing (wormhole mode) -------------------------------
+// --- flit-train coalescing -----------------------------------------------
 //
 // The head packet owns the wire for `flits` consecutive flit_cycles from
 // `start` (now, or the head flit's future arrival when a whole in-flight
@@ -628,25 +544,15 @@ void PacketNetwork::deliver_flit(std::uint32_t li) {
   if (router == topo_.attach(p.dst)) {
     // Flits of a packet leave the ejection wire in order, so position —
     // not an arrival count — identifies the one whose landing completes
-    // the message (elision perturbs the counting order, never the
-    // positions).
-    const bool final_flit = p.ejected + 1 == p.flits;
-    ++p.ejected;
-    if (!final_flit &&
-        (cfg_.wormhole ||
-         link.credits >= static_cast<std::int64_t>(elide_need_))) {
-      // Non-final ejecting flit: its only future effect is returning this
-      // link's buffer slot at the NIC, one link_latency out.  With the
-      // elision margin in hand the serializer provably cannot starve
-      // before the return matures, so it is ledgered — no calendar event.
+    // the message.  Every earlier flit's only future effect is returning
+    // this link's buffer slot at the NIC, one link_latency out, so it is
+    // ledgered (a blocked serializer arms a credit wake for it) — no
+    // calendar event.
+    if (++p.ejected < p.flits) {
       push_run(link, sim_.now() + cfg_.link_latency, 0.0, 1);
       return;
     }
-    const std::uint64_t a = static_cast<std::uint64_t>(Ev::kArrive) |
-                            (static_cast<std::uint64_t>(li) << 8) |
-                            (final_flit ? (1ull << 32) : 0ull);
-    (void)sim_.schedule_static_at(sim_.now() + cfg_.link_latency,
-                                  &PacketNetwork::on_event, this, a, handle);
+    schedule_ev(sim_.now() + cfg_.link_latency, Ev::kComplete, li, handle);
     return;
   }
   const std::uint32_t next = topo_.next_link(router, p.dst);
@@ -667,7 +573,7 @@ void PacketNetwork::append_net(std::uint32_t li, Handle packet, double ready,
                                double stride, std::uint32_t count,
                                std::uint32_t from) {
   SegRing& net = links_[li].net;
-  if (cfg_.wormhole && !net.empty()) {
+  if (!net.empty()) {
     // Glue a continuation of the tail packet's stream back together so a
     // train split upstream (by credit pressure) can still coalesce here.
     Segment& tail = net.back();
@@ -688,39 +594,18 @@ void PacketNetwork::append_net(std::uint32_t li, Handle packet, double ready,
   links_[li].net.push_back(seg);
 }
 
-// --- arrival (the non-elided path) ---------------------------------------
+// --- arrival (the eager path, zero link_latency) -------------------------
 
-void PacketNetwork::on_arrive(std::uint32_t li, Handle handle,
-                              bool final_flit) {
-  PacketRec& p = rec(handle);
-  const std::uint32_t router = topo_.links()[li].dst_router;
-  if (router == topo_.attach(p.dst)) {
-    // Ejection: the NIC consumes the flit immediately, freeing its credit.
-    release_credit(li);
-    if (final_flit) complete(handle);
-    return;
-  }
-  const std::uint32_t next = topo_.next_link(router, p.dst);
+void PacketNetwork::on_arrive(std::uint32_t li, Handle handle) {
+  const std::uint32_t next =
+      topo_.next_link(topo_.links()[li].dst_router, rec(handle).dst);
   ensure(next != kNoLink, "PacketNetwork: routing dead end");
-  if (cfg_.router_latency > 0.0) {
-    const std::uint64_t a = static_cast<std::uint64_t>(Ev::kFwd) |
-                            (static_cast<std::uint64_t>(next) << 8) |
-                            (static_cast<std::uint64_t>(li) << 32);
-    (void)sim_.schedule_static_at(sim_.now() + cfg_.router_latency,
-                                  &PacketNetwork::on_event, this, a, handle);
-    return;
-  }
-  on_fwd(next, handle, li);
-}
-
-void PacketNetwork::on_fwd(std::uint32_t next, Handle handle,
-                           std::uint32_t from) {
   Segment seg;
   seg.packet = handle;
   seg.ready = sim_.now();
   seg.key = sim_.current_dispatch_seq();
   seg.count = 1;
-  seg.from_link = from;
+  seg.from_link = li;
   links_[next].mat.push_back(seg);
   poke(next);
 }

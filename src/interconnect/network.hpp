@@ -22,29 +22,25 @@
 //    real arrival event is scheduled only when that serializer is parked,
 //    and then at exactly the calendar position the eager event would have
 //    held.
-//  * Flit-train coalescing (wormhole mode, the default): when a link's
-//    queue head is a run of consecutive flits of one packet and credits
-//    cover the run, a single event advances the whole train by
-//    n * flit_cycle, and the train's arrivals leave as one streaming
-//    segment the next hop serves as a train of its own — an uncontended
-//    traversal costs O(hops) events, not O(hops x flits).  Per-flit
-//    credit returns are replayed cycle-exactly from a per-link ledger
-//    (blocked serializers arm a wake-up for the next return's maturity
-//    cycle), so backpressure timing is unchanged.
+//  * Flit-train coalescing: when a link's queue head is a run of
+//    consecutive flits of one packet and credits cover the run, a single
+//    event advances the whole train by n * flit_cycle, and the train's
+//    arrivals leave as one streaming segment the next hop serves as a
+//    train of its own — an uncontended traversal costs O(hops) events,
+//    not O(hops x flits).  Per-flit credit returns are replayed
+//    cycle-exactly from a per-link ledger (blocked serializers arm a
+//    wake-up for the next return's maturity cycle), so backpressure
+//    timing is unchanged.
 //
-// Arbitration granularity is PacketConfig::wormhole: the default keeps a
-// packet on the wire for its whole queued run; wormhole = false makes
-// every flit arbitrate individually and replays the retired coroutine
-// engine's event cascade sequence-exactly — bit-identical per-packet
-// delivery times, pinned by tests/test_interconnect_golden.cpp against
-// recordings of the pre-rewrite implementation.  The modes agree exactly
-// wherever no two packets contend for a link in the same cycle (zero
-// load in particular) and always carry identical flit-hop totals.
+// Arbitration is wormhole-style: once a packet's head flit wins a link,
+// the rest of its queued run follows without interleaving.  Zero-load
+// timing is the closed form in packet.hpp (zero_load_cycles), which the
+// DES reproduces bit-exactly for integer-valued timings.
 //
-// The model is deterministic in both modes: routing is table-driven, all
-// queues are FIFO, and the event kernel dispatches same-time events in
-// scheduling order, so repeated runs of the same traffic are
-// bit-identical.
+// The model is deterministic: routing is table-driven, all queues are
+// FIFO, and the event kernel dispatches same-time events in scheduling
+// order, so repeated runs of the same traffic are bit-identical; the
+// golden timing tests (tests/test_interconnect_golden.cpp) pin that.
 //
 // Known limitation (documented, acceptable for the ablation studies): no
 // virtual channels/datelines, so the wrap cycles of ring/torus topologies
@@ -186,7 +182,6 @@ class PacketNetwork {
     kIdle,         ///< wire free, no staged flit
     kSerializing,  ///< a flit (or train) is crossing; an advance is scheduled
     kBlocked,      ///< head flit staged, waiting for a downstream credit
-    kGranted,      ///< credit granted; begin event pending in the lane
   };
 
   struct LinkState {
@@ -195,7 +190,6 @@ class PacketNetwork {
     std::vector<OpRun> ledger;  ///< pending micro-ops, folded on touch
     std::int64_t credits = 0;   ///< folded available downstream credits
     Phase phase = Phase::kIdle;
-    bool start_pending = false;  ///< a begin event sits in the lane
     bool wake_armed = false;     ///< a keyed wake-up is scheduled
     bool credit_wake_armed = false;  ///< wake for a deferred credit return
     bool train_active = false;   ///< current advance covers a whole train
@@ -210,26 +204,20 @@ class PacketNetwork {
 
   // --- event plumbing (EventAction::call trampolines) -------------------
   enum class Ev : std::uint64_t {
-    kStart,    ///< lane: begin serialization after an enqueue wake-up
-    kGrant,    ///< lane: begin serialization after a credit grant
     kAdvance,  ///< heap: serialization end of the current flit/train
-    kArrive,   ///< heap: flit lands at the downstream router
-    kFwd,      ///< heap: router-latency-delayed enqueue on the next link
+    kArrive,   ///< heap: flit lands at a transit router (zero link_latency)
     kLocal,    ///< lane: src == dst local delivery
     kWake,     ///< heap: keyed wake-up for a lazily appended arrival
     kCreditWake,  ///< heap: a ledgered credit return matures for a
-                  ///< blocked serializer (wormhole mode)
-    kComplete,    ///< heap: delivery of a train's final ejected flit
+                  ///< blocked serializer
+    kComplete,    ///< heap: a packet's final flit lands at its NIC
   };
   static void on_event(void* self, std::uint64_t a, std::uint64_t b);
   void schedule_ev(SimTime at, Ev ev, std::uint32_t link, Handle packet);
 
   // --- engine -----------------------------------------------------------
-  void on_start(std::uint32_t link);
-  void on_grant(std::uint32_t link);
   void on_advance(std::uint32_t link);
-  void on_arrive(std::uint32_t link, Handle handle, bool final_flit);
-  void on_fwd(std::uint32_t link, Handle handle, std::uint32_t from);
+  void on_arrive(std::uint32_t link, Handle handle);
   void on_wake(std::uint32_t link);
   void on_credit_wake(std::uint32_t link);
 
@@ -267,13 +255,6 @@ class PacketNetwork {
   std::vector<LinkState> links_;
   std::vector<PacketRec> pool_;
   std::uint32_t pool_free_ = 0xffffffffu;
-  /// Elision margin for deferred ejection releases: a release maturing
-  /// link_latency after its flit leaves the wire is unobservable iff the
-  /// link cannot credit-starve first, and the serializer consumes at most
-  /// one credit per flit_cycle, so ceil(link_latency / flit_cycle) folded
-  /// credits at the decision point are sufficient.  0xffffffff disables
-  /// elision (flit_cycle == 0 or link_latency == 0).
-  std::uint32_t elide_need_ = 0xffffffffu;
   /// Lazily appended arrivals need a strictly positive link latency (a
   /// zero-latency arrival would have to land in the current timestep).
   bool lazy_arrivals_ = false;

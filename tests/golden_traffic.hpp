@@ -1,13 +1,10 @@
 // Shared traffic program for the packet-network golden-timing tests.
 //
 // Drives a deterministic mix of uniform and hotspot traffic through a
-// PacketNetwork-compatible model and summarizes the exact delivery times.
-// The same program generated the pre-rewrite recordings baked into
-// test_interconnect_golden.cpp, so any timing drift in the engine —
-// arbitration order, backpressure, coalescing — shows up as a mismatch.
-//
-// Kept header-only and templated on the network type so a reference
-// implementation can be driven by the identical code.
+// PacketNetwork and summarizes the exact delivery times.  The same
+// program generated the recordings baked into test_interconnect_golden.cpp,
+// so any timing drift in the engine — arbitration order, backpressure,
+// coalescing — shows up as a mismatch.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +27,9 @@ namespace pimsim::interconnect::golden {
 struct GoldenSummary {
   std::uint64_t delivered = 0;
   std::uint64_t flit_hops = 0;
+  /// Work the traffic program asked for, counted independently of the
+  /// engine: Σ flit_count(bytes) × topology.hops(src, dst) over all sends.
+  std::uint64_t expected_flit_hops = 0;
   double max_latency = 0.0;
   std::uint64_t delivery_hash = 0;
   std::vector<double> first_deliveries;  ///< spot values for diagnostics
@@ -44,7 +44,8 @@ template <typename Network>
 des::Process golden_generator(des::Simulation& sim, Network& net, NodeId src,
                               Rng rng, int packets, double gap_scale,
                               std::vector<double>* deliveries,
-                              std::size_t slot0) {
+                              std::size_t slot0,
+                              std::uint64_t* expected_flit_hops) {
   const auto nodes = static_cast<std::uint64_t>(net.topology().nodes());
   for (int i = 0; i < packets; ++i) {
     NodeId dst;
@@ -55,6 +56,8 @@ des::Process golden_generator(des::Simulation& sim, Network& net, NodeId src,
     }
     const std::size_t bytes = rng.uniform_int(0, 96);
     const std::size_t slot = slot0 + static_cast<std::size_t>(i);
+    *expected_flit_hops += flit_count(bytes, net.config().flit_bytes) *
+                           net.topology().hops(src, dst);
     net.send(src, dst, bytes, [&sim, deliveries, slot] {
       (*deliveries)[slot] = sim.now();
     });
@@ -72,15 +75,16 @@ GoldenSummary run_golden(des::Simulation& sim, Network& net, int packets,
   const std::size_t nodes = net.topology().nodes();
   std::vector<double> deliveries(nodes * static_cast<std::size_t>(packets),
                                  -1.0);
+  GoldenSummary s;
   Rng root(seed, /*stream_id=*/0x601d);
   for (std::size_t n = 0; n < nodes; ++n) {
     sim.spawn(golden_generator(sim, net, static_cast<NodeId>(n), root.split(n),
                                packets, gap_scale, &deliveries,
-                               n * static_cast<std::size_t>(packets)));
+                               n * static_cast<std::size_t>(packets),
+                               &s.expected_flit_hops));
   }
   sim.run();
 
-  GoldenSummary s;
   s.delivered = net.packets_delivered();
   s.flit_hops = net.flit_hops();
   s.max_latency = net.latency_stats().max();
@@ -124,7 +128,6 @@ inline PacketConfig golden_config() {
   cfg.flit_bytes = 16;
   cfg.flit_cycle = 1.0;
   cfg.link_latency = 3.0;
-  cfg.router_latency = 0.0;
   cfg.credits = 8;
   return cfg;
 }

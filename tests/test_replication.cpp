@@ -243,6 +243,7 @@ TEST(RepSerialization, MalformedBytesThrowInvalidArgument) {
            std::string("pimsim-rep-v2\nt\n1\n"), // wrong schema
            good.substr(0, good.size() - 4),      // truncated
            good + "extra",                       // trailing bytes
+           std::string("pimsim-rep-v1\nt\n100000000000000\n"),  // huge count
        }) {
     EXPECT_THROW((void)deserialize_table(bad), InvalidArgument) << bad;
   }

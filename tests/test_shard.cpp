@@ -224,6 +224,26 @@ TEST_F(ShardEndToEnd, DifferentGridIntoSameDirIsRejected) {
   EXPECT_NE(run_shard(0, 3, "chunks"), 0);
 }
 
+TEST_F(ShardEndToEnd, NonIntegralOrHugeManifestCountsAreRejected) {
+  ASSERT_EQ(run_shard(0, 2, "chunks"), 0);
+  ASSERT_EQ(run_shard(1, 2, "chunks"), 0);
+  const fs::path manifest = root_ / "chunks" / "manifest.json";
+  const std::string text = slurp(manifest);
+  const std::string field = "\"shards\": 2,";
+  ASSERT_NE(text.find(field), std::string::npos);
+  // A fraction must not truncate to the 2 shards on disk, and a count
+  // past size_t's range must not reach an undefined double cast.
+  for (const char* bad : {"2.7", "1e30"}) {
+    std::string edited = text;
+    edited.replace(edited.find(field), field.size(),
+                   "\"shards\": " + std::string(bad) + ",");
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << edited;
+    EXPECT_NE(merge("chunks", "merged.csv"), 0) << bad;
+  }
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
+  EXPECT_EQ(merge("chunks", "merged.csv"), 0);
+}
+
 TEST_F(ShardEndToEnd, ShardWithoutOutDirAndBadDirAreRejected) {
   EXPECT_NE(run_cli({"sweep", "memory_contention", config(), "shard=0/2"}),
             0);  // shard= requires out=DIR
