@@ -16,10 +16,14 @@
 // bench_engine floors in bench/baselines.json.
 //
 // Besides the chain, audit mode runs O(1)-amortized invariant sweeps
-// (Simulation::audit_check_now()) over the 4-ary heap, the slot-pool
-// generations, and any component-registered checks (the packet network
-// registers its credit-ledger invariants), so corruption is caught at
-// the event where it happens, not at the end of a 10^8-event run.
+// (Simulation::audit_check_now()) over the calendar -- 4-ary heap order;
+// for the bucket wheel, strictly key-ordered lists, each entry in its
+// bucket's cycle of the window, correct tails, an occupancy bitmap and
+// count that agree with the lists, and a node freelist accounting for
+// the rest -- the slot-pool generations, and any component-registered
+// checks (the packet network registers its credit-ledger invariants), so
+// corruption is caught at the event where it happens, not at the end of
+// a 10^8-event run.
 //
 // Cross-thread aggregation: a sweep at jobs=N constructs its simulations
 // inside pool workers in schedule-dependent order, so AuditRegistry

@@ -55,7 +55,7 @@ class Process {
       if (state->sim != nullptr) {
         for (auto j : state->joiners) state->sim->resume_soon(j);
         state->joiners.clear();
-        state->sim->unregister_process(h);
+        state->sim->unregister_process(h.promise().live_pos);
       }
       h.destroy();
     }
@@ -64,6 +64,9 @@ class Process {
 
   struct promise_type {
     std::shared_ptr<State> state = std::make_shared<State>();
+    /// Index of this frame in the Simulation's live-process registry,
+    /// kept current by the kernel (see Simulation::register_process).
+    std::size_t live_pos = 0;
 
     Process get_return_object() {
       return Process(handle_type::from_promise(*this), state);
@@ -121,7 +124,7 @@ class Process {
   handle_type release_for_spawn(Simulation& sim) {
     state_->sim = &sim;
     state_->spawned = true;
-    sim.register_process(handle_);
+    sim.register_process(handle_, handle_.promise().live_pos);
     return std::exchange(handle_, nullptr);
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -26,6 +27,8 @@ bool env_enabled(const char* value) {
 }  // namespace
 
 Simulation::Simulation() {
+  wheel_head_.fill(kNoSlot);
+  wheel_tail_.fill(kNoSlot);
   // PIMSIM_AUDIT / PIMSIM_TRACE / PIMSIM_METRICS / PIMSIM_PROFILE turn the
   // corresponding layer on for every simulation in the process — the seam
   // `pimsim run ... audit=1 trace=... metrics=... profile=1` uses to reach
@@ -63,9 +66,8 @@ Simulation::~Simulation() {
   destroying_ = true;
   auto frames = std::move(live_order_);
   live_order_.clear();
-  live_index_.clear();
-  for (void* addr : frames) {
-    std::coroutine_handle<>::from_address(addr).destroy();
+  for (const LiveFrame& live : frames) {
+    std::coroutine_handle<>::from_address(live.frame).destroy();
   }
   // Pending EventActions (and anything they own) die with slots_.
   if (audit_) AuditRegistry::global().absorb(*audit_);
@@ -145,11 +147,11 @@ bool Simulation::cancel(EventId id) {
 
 // --- d-ary heap ----------------------------------------------------------
 //
-// A wide implicit heap cuts the tree depth of the binary
-// std::priority_queue it replaces, and the 24-byte children of a node are
-// scanned contiguously with a single branchless 128-bit key compare each
-// — fewer, more predictable memory touches per sift than a binary heap's
-// pointer-chasing depth.
+// The heap holds only what the wheel cannot: entries beyond the window
+// and entries that arrive out of order within a bucket.  A wide implicit
+// heap cuts the tree depth of a binary heap, and the children of a node
+// are scanned contiguously with a single branchless 128-bit key compare
+// each.
 
 void Simulation::heap_pop_top() {
   heap_.front() = heap_.back();
@@ -159,7 +161,7 @@ void Simulation::heap_pop_top() {
 
 void Simulation::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  const HeapEntry entry = heap_[i];
+  const CalendarEntry entry = heap_[i];
   for (;;) {
     const std::size_t first = kHeapArity * i + 1;
     if (first >= n) break;
@@ -175,10 +177,51 @@ void Simulation::sift_down(std::size_t i) {
   heap_[i] = entry;
 }
 
+// --- bucket wheel --------------------------------------------------------
+
+std::uint32_t Simulation::wheel_first() const {
+  // Scan the occupancy words from the window's base bucket, wrapping once:
+  // bucket order from there is cycle order.
+  std::uint32_t word = wheel_base_bucket_ >> 6;
+  std::uint64_t bits = wheel_occupied_[word] &
+                       (~std::uint64_t{0} << (wheel_base_bucket_ & 63));
+  for (std::size_t i = 0; i < wheel_occupied_.size(); ++i) {
+    if (bits != 0) {
+      return (word << 6) | static_cast<std::uint32_t>(__builtin_ctzll(bits));
+    }
+    word = (word + 1) % wheel_occupied_.size();
+    bits = wheel_occupied_[word];
+  }
+  // Back at the base word: only buckets below the base bucket are left.
+  return (word << 6) | static_cast<std::uint32_t>(__builtin_ctzll(bits));
+}
+
+void Simulation::wheel_pop(std::uint32_t bucket) {
+  const std::uint32_t node = wheel_head_[bucket];
+  const std::uint32_t next = wheel_nodes_[node].next;
+  wheel_head_[bucket] = next;
+  if (next == kNoSlot) {
+    wheel_occupied_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
+  }
+  wheel_nodes_[node].next = wheel_free_;
+  wheel_free_ = node;
+  --wheel_count_;
+}
+
+void Simulation::wheel_advance() {
+  // Truncation is floor for non-negative times (and, unlike std::floor,
+  // no libm call); the clamp keeps the conversion in range.
+  const auto cycle = static_cast<std::int64_t>(std::min(now_, kWheelBaseLimit));
+  wheel_base_ = static_cast<SimTime>(cycle);
+  wheel_base_bucket_ = static_cast<std::uint32_t>(cycle) & kWheelMask;
+}
+
+// --- compaction ----------------------------------------------------------
+
 void Simulation::compact_calendar() {
   std::size_t removed = 0;
   std::size_t keep = 0;
-  for (const HeapEntry& entry : heap_) {
+  for (const CalendarEntry& entry : heap_) {
     if (slots_[entry.slot].generation == entry.gen) {
       heap_[keep++] = entry;
     } else {
@@ -190,6 +233,36 @@ void Simulation::compact_calendar() {
     // Floyd heapify: sift down every internal node, deepest first.
     for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {
       sift_down(i);
+    }
+  }
+  // Filter every bucket list in place, preserving its order.
+  for (std::uint32_t bucket = 0; bucket < kWheelBuckets; ++bucket) {
+    if (wheel_head_[bucket] == kNoSlot) continue;
+    std::uint32_t tail = kNoSlot;
+    for (std::uint32_t node = wheel_head_[bucket]; node != kNoSlot;) {
+      CalendarEntry& entry = wheel_nodes_[node];
+      const std::uint32_t next = entry.next;
+      if (slots_[entry.slot].generation == entry.gen) {
+        if (tail == kNoSlot) {
+          wheel_head_[bucket] = node;
+        } else {
+          wheel_nodes_[tail].next = node;
+        }
+        tail = node;
+      } else {
+        entry.next = wheel_free_;
+        wheel_free_ = node;
+        --wheel_count_;
+        ++removed;
+      }
+      node = next;
+    }
+    if (tail == kNoSlot) {
+      wheel_head_[bucket] = kNoSlot;
+      wheel_occupied_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
+    } else {
+      wheel_nodes_[tail].next = kNoSlot;
+      wheel_tail_[bucket] = tail;
     }
   }
   // Filter the immediate lane in place, preserving FIFO order.
@@ -210,24 +283,29 @@ void Simulation::compact_calendar() {
 // --- dispatch ------------------------------------------------------------
 
 // Pops the next live event in global (time, seq) order into `out`,
-// merging the heap with the immediate lane and lazily retiring stale
-// (cancelled) entries from both.  With `bounded`, live events beyond
-// `horizon` are left in place and false is returned.
-bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
+// merging the wheel, the heap and the immediate lane and lazily retiring
+// stale (cancelled) entries from all three.  With `bounded`, live events
+// beyond `horizon` are left in place and false is returned.
+bool Simulation::pop_next(CalendarEntry& out, bool bounded, SimTime horizon) {
   for (;;) {
-    const bool have_now = now_head_ < now_queue_.size();
-    const bool have_heap = !heap_.empty();
-    if (!have_now && !have_heap) return false;
-    bool use_now = have_now;
-    if (have_now && have_heap) {
-      // Lane entries are all at time now_; a heap entry only precedes the
-      // lane front if it is at now_ with an older sequence number — one
-      // wide-key compare covers both fields.
-      if (heap_.front().key < heap_key(now_, now_queue_[now_head_].seq)) {
-        use_now = false;
-      }
+    // The calendar front: the first occupied bucket's head or the heap
+    // top, whichever key is smaller.
+    const CalendarEntry* front = nullptr;
+    std::uint32_t bucket = kWheelBuckets;  // front's bucket; none: heap
+    if (wheel_count_ != 0) {
+      bucket = wheel_first();
+      front = &wheel_nodes_[wheel_head_[bucket]];
     }
-    if (use_now) {
+    if (!heap_.empty() && (front == nullptr || before(heap_.front(), *front))) {
+      front = &heap_.front();
+      bucket = kWheelBuckets;
+    }
+    // Lane entries are all at time now_; a calendar entry only precedes
+    // the lane front if it is at now_ with an older sequence number --
+    // one wide-key compare covers both fields.
+    if (now_head_ < now_queue_.size() &&
+        (front == nullptr ||
+         !(front->key < calendar_key(now_, now_queue_[now_head_].seq)))) {
       const NowEntry entry = now_queue_[now_head_++];
       if (now_head_ == now_queue_.size()) {
         now_queue_.clear();
@@ -246,29 +324,34 @@ bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
         --stale_;
         continue;
       }
-      out = HeapEntry{heap_key(now_, entry.seq), entry.slot, entry.gen};
+      out = CalendarEntry{calendar_key(now_, entry.seq), entry.slot, entry.gen};
       return true;
     }
-    const HeapEntry entry = heap_.front();
-    if (slots_[entry.slot].generation != entry.gen) {
+    if (front == nullptr) return false;
+    const CalendarEntry entry = *front;
+    const bool live = slots_[entry.slot].generation == entry.gen;
+    if (live && bounded && entry.time() > horizon) return false;
+    if (bucket == kWheelBuckets) {
       heap_pop_top();
+    } else {
+      wheel_pop(bucket);
+    }
+    if (!live) {
       --stale_;
       continue;
     }
-    if (bounded && entry.time() > horizon) return false;
-    heap_pop_top();
     out = entry;
     return true;
   }
 }
 
-void Simulation::dispatch(const HeapEntry& entry) {
+void Simulation::dispatch(const CalendarEntry& entry) {
   // Relocate the action out of the pool and retire the slot before
   // invoking: the callback may schedule (growing/reusing the pool) or
   // cancel, and must observe this event as already dispatched.
   EventAction action = std::move(slots_[entry.slot].action);
   release_slot(entry.slot);
-  // Heap corruption that survives pop_next's sift repair still surfaces
+  // Calendar corruption that survives pop_next's merge still surfaces
   // as an out-of-order dispatch; in audit mode that is fatal, not silent.
   if (audit_) {
     ensure(entry.time() >= now_,
@@ -276,6 +359,9 @@ void Simulation::dispatch(const HeapEntry& entry) {
            "order violated)");
   }
   now_ = entry.time();
+  // The window follows dispatch, and only dispatch: every pending entry is
+  // at or after this event, so none falls below the new base.
+  if (now_ >= wheel_base_ + 1.0) wheel_advance();
   current_seq_ = entry.seq();
   ++dispatched_;
   if (tracer_) {
@@ -329,7 +415,7 @@ void Simulation::rethrow_pending() {
 }
 
 void Simulation::run() {
-  HeapEntry entry;
+  CalendarEntry entry;
   while (pop_next(entry, /*bounded=*/false, 0.0)) {
     dispatch(entry);
     rethrow_pending();
@@ -338,7 +424,7 @@ void Simulation::run() {
 
 void Simulation::run_until(SimTime horizon) {
   ensure(horizon >= now_, "Simulation::run_until: horizon is in the past");
-  HeapEntry entry;
+  CalendarEntry entry;
   while (pop_next(entry, /*bounded=*/true, horizon)) {
     dispatch(entry);
     rethrow_pending();
@@ -347,7 +433,7 @@ void Simulation::run_until(SimTime horizon) {
 }
 
 bool Simulation::step() {
-  HeapEntry entry;
+  CalendarEntry entry;
   if (!pop_next(entry, /*bounded=*/false, 0.0)) return false;
   dispatch(entry);
   rethrow_pending();
@@ -374,6 +460,47 @@ void Simulation::audit_check_now() const {
     ensure(!before(heap_[i], heap_[parent]),
            "Simulation audit: heap order violated (child precedes parent)");
   }
+  // Wheel: each bucket list is strictly key-ordered, lies in its bucket's
+  // cycle of the window and ends at its tail; the occupancy bitmap and
+  // the count agree with the lists.
+  std::size_t listed = 0;
+  for (std::uint32_t bucket = 0; bucket < kWheelBuckets; ++bucket) {
+    const bool occupied =
+        ((wheel_occupied_[bucket >> 6] >> (bucket & 63)) & 1U) != 0;
+    ensure(occupied == (wheel_head_[bucket] != kNoSlot),
+           "Simulation audit: wheel occupancy bit disagrees with its bucket");
+    if (!occupied) continue;
+    const SimTime cycle =
+        wheel_base_ + ((bucket - wheel_base_bucket_) & kWheelMask);
+    std::uint32_t last = kNoSlot;
+    for (std::uint32_t node = wheel_head_[bucket]; node != kNoSlot;
+         node = wheel_nodes_[node].next) {
+      ensure(node < wheel_nodes_.size(),
+             "Simulation audit: wheel node index out of range");
+      ensure(++listed <= wheel_nodes_.size(),
+             "Simulation audit: wheel bucket list cycle");
+      ensure(std::floor(wheel_nodes_[node].time()) == cycle,
+             "Simulation audit: wheel entry outside its bucket's cycle");
+      ensure(last == kNoSlot || before(wheel_nodes_[last], wheel_nodes_[node]),
+             "Simulation audit: wheel bucket order violated");
+      last = node;
+    }
+    ensure(wheel_tail_[bucket] == last,
+           "Simulation audit: wheel bucket tail is not its last node");
+  }
+  ensure(listed == wheel_count_,
+         "Simulation audit: wheel count disagrees with its bucket lists");
+  // Wheel node pool: the freelist accounts for every node not listed.
+  std::size_t free_nodes = 0;
+  for (std::uint32_t node = wheel_free_; node != kNoSlot;
+       node = wheel_nodes_[node].next) {
+    ensure(node < wheel_nodes_.size(),
+           "Simulation audit: wheel freelist index out of range");
+    ensure(++free_nodes <= wheel_nodes_.size(),
+           "Simulation audit: wheel freelist cycle");
+  }
+  ensure(free_nodes + wheel_count_ == wheel_nodes_.size(),
+         "Simulation audit: wheel node accounting mismatch");
   // Slot pool: the free list must be acyclic, in range, and account for
   // exactly the slots that live_events_ does not.
   std::size_t free_count = 0;
@@ -396,9 +523,20 @@ void Simulation::audit_check_now() const {
 }
 
 void Simulation::corrupt_heap_for_test() {
-  ensure(heap_.size() >= 2,
+  // Pending wheel-or-heap entries: the wheel's in window order, then the
+  // heap's in array order.
+  std::vector<CalendarEntry*> entries;
+  for (std::uint32_t i = 0; i < kWheelBuckets; ++i) {
+    const std::uint32_t bucket = (wheel_base_bucket_ + i) & kWheelMask;
+    for (std::uint32_t node = wheel_head_[bucket]; node != kNoSlot;
+         node = wheel_nodes_[node].next) {
+      entries.push_back(&wheel_nodes_[node]);
+    }
+  }
+  for (CalendarEntry& entry : heap_) entries.push_back(&entry);
+  ensure(entries.size() >= 2,
          "corrupt_heap_for_test: needs >= 2 future events");
-  std::swap(heap_.front().key, heap_.back().key);
+  std::swap(entries.front()->key, entries.back()->key);
 }
 
 // --- process layer hooks -------------------------------------------------
@@ -411,23 +549,20 @@ void Simulation::spawn(Process process) {
   resume_soon(h);
 }
 
-void Simulation::register_process(std::coroutine_handle<> h) {
-  live_index_.emplace(h.address(), live_order_.size());
-  live_order_.push_back(h.address());
+void Simulation::register_process(std::coroutine_handle<> h,
+                                  std::size_t& pos) {
+  pos = live_order_.size();
+  live_order_.push_back(LiveFrame{h.address(), &pos});
 }
 
-void Simulation::unregister_process(std::coroutine_handle<> h) {
+void Simulation::unregister_process(std::size_t pos) {
   if (destroying_) return;
-  const auto it = live_index_.find(h.address());
-  if (it == live_index_.end()) return;
   // Swap-and-pop: O(1), and deterministic because the sequence of
-  // register/unregister calls is itself deterministic — addresses are
-  // only keys, never ordered over.
-  const std::size_t pos = it->second;
-  live_index_.erase(it);
+  // register/unregister calls is itself deterministic.  The moved frame's
+  // promise learns its new index.
   if (pos + 1 != live_order_.size()) {
     live_order_[pos] = live_order_.back();
-    live_index_[live_order_[pos]] = pos;
+    *live_order_[pos].pos = pos;
   }
   live_order_.pop_back();
   if (tracer_) trace(TraceKind::kProcessFinished, lbl_process_);

@@ -15,23 +15,28 @@
 // scheduling order, so a model that uses only Simulation-provided
 // primitives and pimsim::Rng streams is bit-reproducible.
 //
-// Internals (see README "Event kernel architecture"): events live in a
-// generation-tagged slot pool indexed by a 4-ary min-heap of
-// (time, seq, slot, generation).  Scheduling takes a pooled slot and one
-// heap push; cancel() bumps the slot's generation in O(1) and leaves a
-// stale heap entry behind, which dispatch skips lazily and a compaction
-// pass reclaims whenever stale entries outnumber live ones.  Callbacks
-// are EventAction tagged unions, so the coroutine-resume paths
-// (resume_soon / delay / mailbox wake-ups) never touch the heap
-// allocator.
+// Internals (see README "The calendar"): events live in a
+// generation-tagged slot pool.  Calendar entries are (time, seq, slot,
+// generation) records kept in three queues that pop_next merges by key:
+//   * the immediate lane, a FIFO of events scheduled exactly at now();
+//   * a 256-bucket wheel of one-cycle FIFO lists covering
+//     [floor(last dispatch time), +256), which takes every entry whose key
+//     sorts after its bucket's tail -- O(1) push and pop;
+//   * a 4-ary min-heap for the rest (beyond the window, or out of order
+//     within a bucket).
+// cancel() bumps the slot's generation in O(1) and leaves a stale entry
+// behind, which dispatch skips lazily and a compaction pass reclaims
+// whenever stale entries outnumber live ones.  Callbacks are EventAction
+// tagged unions, so the coroutine-resume paths (resume_soon / delay /
+// mailbox wake-ups) never touch the heap allocator.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -103,11 +108,11 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
   /// Number of live (schedulable, not cancelled) events currently pending.
   [[nodiscard]] std::size_t events_pending() const { return live_events_; }
-  /// Calendar entries (heap + immediate lane), including stale ones
-  /// awaiting lazy removal.  Bounded at < 2x events_pending() +
+  /// Calendar entries (wheel + heap + immediate lane), including stale
+  /// ones awaiting lazy removal.  Bounded at < 2x events_pending() +
   /// compaction floor (leak diagnostic).
   [[nodiscard]] std::size_t calendar_entries() const {
-    return heap_.size() + (now_queue_.size() - now_head_);
+    return wheel_count_ + heap_.size() + (now_queue_.size() - now_head_);
   }
   /// Stale (cancelled) calendar entries not yet compacted away.
   [[nodiscard]] std::size_t stale_calendar_entries() const { return stale_; }
@@ -155,9 +160,9 @@ class Simulation {
   //
   // When enabled, every dispatch folds its (time, seq, action-kind) tuple
   // into an FNV-1a hash chain, and O(1)-amortized invariant sweeps cover
-  // the 4-ary heap order, the slot-pool generations/free list, and any
-  // component self-checks keyed off audit_enabled() (the packet network
-  // audits its credit ledgers).  When off, the cost is one predicted
+  // the bucket wheel's lists and the 4-ary heap order, the slot-pool
+  // generations/free list, and any component self-checks keyed off
+  // audit_enabled() (the packet network audits its credit ledgers).  When off, the cost is one predicted
   // branch per dispatch — the tracing_enabled() pattern, held to the
   // bench_engine floors.  The PIMSIM_AUDIT=1 environment variable turns
   // it on at construction, which is how `pimsim run/verify ... audit=1`
@@ -175,9 +180,10 @@ class Simulation {
   /// violated invariant).  Audit mode runs this automatically on an
   /// O(1)-amortized cadence; tests call it directly.
   void audit_check_now() const;
-  /// Test-only: deliberately breaks the heap-order invariant (swaps the
-  /// root's key with the last entry's) so tests can prove the audit
-  /// sweep catches corruption.  Requires >= 2 distinct heap entries.
+  /// Test-only: deliberately breaks the calendar-order invariant (swaps
+  /// the keys of the first and last pending wheel-or-heap entries) so
+  /// tests can prove the audit sweep catches corruption.  Requires >= 2
+  /// future events at distinct times.
   void corrupt_heap_for_test();
 
   // --- observability (src/obs/, docs/OBSERVABILITY.md) -------------------
@@ -266,9 +272,11 @@ class Simulation {
   void resume_soon(std::coroutine_handle<> h) {
     (void)schedule_action(now_, EventAction::resume(h));
   }
-  /// Registers/unregisters live process frames for cleanup.
-  void register_process(std::coroutine_handle<> h);
-  void unregister_process(std::coroutine_handle<> h);
+  /// Registers/unregisters live process frames for cleanup.  `pos` lives
+  /// in the frame's promise: the kernel keeps it equal to the frame's
+  /// index in the registry, so unregistering needs no lookup.
+  void register_process(std::coroutine_handle<> h, std::size_t& pos);
+  void unregister_process(std::size_t pos);
   /// Records an exception escaping a process body; rethrown by run()/step().
   void set_pending_exception(std::exception_ptr ep);
 
@@ -287,11 +295,15 @@ class Simulation {
   /// Calendar entry ordered by a single 128-bit (time, seq) key: event
   /// times are non-negative, so the IEEE bit pattern of `time` compares
   /// like the double itself, and one wide integer compare replaces the
-  /// two-branch (time, seq) comparison on the heap's hottest path.
-  struct HeapEntry {
+  /// two-branch (time, seq) comparison on the calendar's hottest paths.
+  struct CalendarEntry {
     unsigned __int128 key;  // (bit_cast<u64>(time) << 64) | seq
     std::uint32_t slot;
     std::uint32_t gen;  // stale once != slots_[slot].generation
+    // Next node of a wheel bucket list or of the node freelist (kNoSlot
+    // ends both); unused in the heap.  It fills the key's alignment
+    // padding, so it costs no space.
+    std::uint32_t next = kNoSlot;
 
     [[nodiscard]] SimTime time() const {
       const auto bits = static_cast<std::uint64_t>(key >> 64);
@@ -304,22 +316,22 @@ class Simulation {
     }
   };
 
-  static unsigned __int128 heap_key(SimTime time, std::uint64_t seq) {
+  static unsigned __int128 calendar_key(SimTime time, std::uint64_t seq) {
     std::uint64_t bits;
     __builtin_memcpy(&bits, &time, sizeof(bits));
     return (static_cast<unsigned __int128>(bits) << 64) | seq;
   }
 
   /// An event scheduled exactly at now(): lives in the immediate lane, a
-  /// FIFO ring that never pays a heap sift.  Always at time now_, ordered
-  /// by seq by construction.
+  /// FIFO ring that never touches the wheel or the heap.  Always at time
+  /// now_, ordered by seq by construction.
   struct NowEntry {
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  static bool before(const CalendarEntry& a, const CalendarEntry& b) {
     return a.key < b.key;
   }
 
@@ -331,14 +343,39 @@ class Simulation {
                               EventAction action);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
-  bool pop_next(HeapEntry& out, bool bounded, SimTime horizon);
-  void dispatch(const HeapEntry& entry);
+  bool pop_next(CalendarEntry& out, bool bounded, SimTime horizon);
+  void dispatch(const CalendarEntry& entry);
   void dispatch_profiled(EventAction& action);
   void rethrow_pending();
 
+  /// Files a future entry (built fresh, so its `next` is kNoSlot):
+  /// appended to its cycle's wheel bucket when it lies in the window and
+  /// sorts after the bucket's tail, else pushed on the heap.
+  void calendar_push(SimTime at, const CalendarEntry& entry);
+
+  // One-cycle bucket wheel (a calendar queue, Brown, CACM 1988) in front
+  // of the heap.  Bucket b holds the entries whose floor(time) is the
+  // cycle of the window [wheel_base_, wheel_base_ + kWheelBuckets)
+  // congruent to b, as a key-ordered FIFO list of indices into
+  // wheel_nodes_.
+  static constexpr std::uint32_t kWheelBuckets = 256;
+  static constexpr std::uint32_t kWheelMask = kWheelBuckets - 1;
+  /// Window bases are clamped here: below 2^52 a double holds every whole
+  /// cycle exactly, so bucket indexing never rounds or overflows.
+  static constexpr SimTime kWheelBaseLimit = 4503599627370496.0;  // 2^52
+  static std::uint32_t wheel_bucket(SimTime at) {
+    return static_cast<std::uint32_t>(static_cast<std::int64_t>(at)) &
+           kWheelMask;
+  }
+  /// First occupied bucket in window order; requires wheel_count_ > 0.
+  [[nodiscard]] std::uint32_t wheel_first() const;
+  void wheel_pop(std::uint32_t bucket);
+  /// Moves the window to start at floor(now_); called on dispatch only.
+  void wheel_advance();
+
   // D-ary implicit min-heap over heap_ (children of i: D*i+1 .. D*i+D).
   static constexpr std::size_t kHeapArity = 4;
-  void heap_push(const HeapEntry& entry);
+  void heap_push(const CalendarEntry& entry);
   void heap_pop_top();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
@@ -350,7 +387,20 @@ class Simulation {
   std::uint64_t dispatched_ = 0;
   std::size_t live_events_ = 0;
   std::size_t stale_ = 0;
-  std::vector<HeapEntry> heap_;
+  // Wheel window: wheel_base_ is the floor of the last dispatched event's
+  // time (clamped to kWheelBaseLimit).  It moves only when a live event
+  // is dispatched -- never on a run_until peek or a stale retirement --
+  // so every pending entry stays >= wheel_base_ and each bucket maps to
+  // exactly one cycle.
+  SimTime wheel_base_ = 0.0;
+  std::uint32_t wheel_base_bucket_ = 0;
+  std::size_t wheel_count_ = 0;  // entries (live + stale) in bucket lists
+  std::array<std::uint32_t, kWheelBuckets> wheel_head_;  // kNoSlot: empty
+  std::array<std::uint32_t, kWheelBuckets> wheel_tail_;  // valid if non-empty
+  std::array<std::uint64_t, kWheelBuckets / 64> wheel_occupied_{};
+  std::vector<CalendarEntry> wheel_nodes_;  // list nodes + freelist
+  std::uint32_t wheel_free_ = kNoSlot;
+  std::vector<CalendarEntry> heap_;
   // Immediate lane: [now_head_, now_queue_.size()) are pending; the
   // consumed prefix is recycled whenever the lane drains.
   std::vector<NowEntry> now_queue_;
@@ -359,10 +409,13 @@ class Simulation {
   std::uint32_t free_head_ = kNoSlot;
   // Live process frames in deterministic (insertion/swap) order: the
   // destructor tears frames down in this order, so shutdown side effects
-  // cannot depend on pointer values.  The index map is lookup-only.
-  std::vector<void*> live_order_;
-  // lint:allow(unordered-container): lookup-only address->position index
-  std::unordered_map<void*, std::size_t> live_index_;
+  // cannot depend on pointer values.  Each frame's promise holds its own
+  // index (`pos`), which swap-and-pop keeps current.
+  struct LiveFrame {
+    void* frame;
+    std::size_t* pos;
+  };
+  std::vector<LiveFrame> live_order_;
   std::exception_ptr pending_exception_;
   Tracer* tracer_ = nullptr;
   // Cached interned ids for the kernel's own trace labels (set by
@@ -397,7 +450,7 @@ inline std::uint32_t Simulation::acquire_slot() {
 }
 
 inline void Simulation::sift_up(std::size_t i) {
-  const HeapEntry entry = heap_[i];
+  const CalendarEntry entry = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kHeapArity;
     if (!before(entry, heap_[parent])) break;
@@ -407,9 +460,40 @@ inline void Simulation::sift_up(std::size_t i) {
   heap_[i] = entry;
 }
 
-inline void Simulation::heap_push(const HeapEntry& entry) {
+inline void Simulation::heap_push(const CalendarEntry& entry) {
   heap_.push_back(entry);
   sift_up(heap_.size() - 1);
+}
+
+inline void Simulation::calendar_push(SimTime at, const CalendarEntry& entry) {
+  if (at < wheel_base_ + kWheelBuckets) {
+    const std::uint32_t bucket = wheel_bucket(at);
+    const bool empty = wheel_head_[bucket] == kNoSlot;
+    if (empty || before(wheel_nodes_[wheel_tail_[bucket]], entry)) {
+      std::uint32_t node = wheel_free_;
+      if (node != kNoSlot) {
+        wheel_free_ = wheel_nodes_[node].next;
+        wheel_nodes_[node] = entry;
+      } else {
+        ensure(wheel_nodes_.size() < kNoSlot,
+               "Simulation: wheel node pool exhausted");
+        node = static_cast<std::uint32_t>(wheel_nodes_.size());
+        wheel_nodes_.push_back(entry);
+      }
+      if (empty) {
+        wheel_head_[bucket] = node;
+        wheel_occupied_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+      } else {
+        wheel_nodes_[wheel_tail_[bucket]].next = node;
+      }
+      wheel_tail_[bucket] = node;
+      ++wheel_count_;
+      return;
+    }
+  }
+  // Beyond the window, or out of order within its bucket (an earlier
+  // fractional time, or a replayed older seq): the heap keeps it sorted.
+  heap_push(entry);
 }
 
 inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
@@ -420,10 +504,11 @@ inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
   const std::uint64_t seq = next_seq_++;
   if (at == now_) {
     // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
-    // spawns) skip the heap entirely; FIFO order == seq order.
+    // spawns) skip the wheel and heap entirely; FIFO order == seq order.
     now_queue_.push_back(NowEntry{seq, index, slot.generation});
   } else {
-    heap_push(HeapEntry{heap_key(at, seq), index, slot.generation});
+    calendar_push(at, CalendarEntry{calendar_key(at, seq), index,
+                                    slot.generation});
   }
   ++live_events_;
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
@@ -436,12 +521,14 @@ inline des::EventId Simulation::schedule_action_seq(SimTime at,
                                                     std::uint64_t seq,
                                                     EventAction action) {
   // A keyed event is always strictly in the future (callers ensure it),
-  // so it goes to the heap: the immediate lane's FIFO assumes seq order
-  // matches push order, which a replayed key would violate.
+  // so it never enters the immediate lane, whose FIFO assumes seq order
+  // matches push order; a replayed older key that sorts before its
+  // bucket's tail falls through to the heap.
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);
-  heap_push(HeapEntry{heap_key(at, seq), index, slot.generation});
+  calendar_push(at, CalendarEntry{calendar_key(at, seq), index,
+                                  slot.generation});
   ++live_events_;
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
                      static_cast<EventId>(index);

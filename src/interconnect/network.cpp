@@ -389,7 +389,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
     const auto flits = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(front.count,
                                 static_cast<std::uint64_t>(link.credits)));
-    run_train(li, ring, flits, sim_.now());
+    run_train(li, ring, flits);
     return;
   }
 
@@ -416,20 +416,17 @@ void PacketNetwork::try_begin(std::uint32_t li) {
 // --- flit-train coalescing -----------------------------------------------
 //
 // The head packet owns the wire for `flits` consecutive flit_cycles from
-// `start` (now, or the head flit's future arrival when a whole in-flight
-// stream is committed onto an idle link); one calendar event ends the
-// whole train.  The per-flit side effects — buffer occupancy, credit
-// returns to this link (ejection) and to the upstream link — are pushed
-// onto the links' ledgers and replayed when next observed; downstream
-// arrivals leave as a single streaming segment committed onto the next
-// idle hop the same way, so an uncontended traversal costs O(hops)
-// calendar events, not O(hops x flits).
+// now; one calendar event ends the whole train.  The per-flit side
+// effects — buffer occupancy, credit returns to this link (ejection) and
+// to the upstream link — are pushed onto the links' ledgers and replayed
+// when next observed; downstream arrivals leave as a single streaming
+// segment committed onto the next idle hop the same way, so an
+// uncontended traversal costs O(hops) calendar events, not
+// O(hops x flits).
 void PacketNetwork::run_train(std::uint32_t li, SegRing* ring,
-                              std::uint32_t flits, double start) {
-  // `start` is sim_.now() today; the retroactive busy accounting below
-  // keeps the door open for committing future trains without touching
-  // the stats path.
+                              std::uint32_t flits) {
   LinkState& link = links_[li];
+  const double start = sim_.now();
   const double fc = cfg_.flit_cycle;
   Segment& front = ring->front();
   const Handle packet = front.packet;
@@ -446,8 +443,8 @@ void PacketNetwork::run_train(std::uint32_t li, SegRing* ring,
   // read a shade high mid-train but never exceed the buffer capacity:
   // every debit is backed by an available credit.  The wire-busy window
   // [start, start + flits * fc) is accounted retroactively by the train's
-  // advance event, keeping the accumulator's clock monotonic even when
-  // `start` is in the future.
+  // advance event, so a train still on the wire at the horizon is not
+  // counted busy (a single in-flight flit is; see README.md).
   link.credits -= flits;
   link.occupancy.add(sim_.now(), static_cast<double>(flits));
   trace_occupancy(li);

@@ -234,8 +234,7 @@ class PacketNetwork {
   void poke(std::uint32_t link);  ///< wake an idle serializer if work is due
   void try_begin(std::uint32_t link);
   void begin(std::uint32_t link);
-  void run_train(std::uint32_t link, SegRing* ring, std::uint32_t flits,
-                 double start);
+  void run_train(std::uint32_t link, SegRing* ring, std::uint32_t flits);
   void deliver_flit(std::uint32_t link);  ///< arrival side of on_advance
   void append_net(std::uint32_t link, Handle packet, double ready,
                   double stride, std::uint32_t count, std::uint32_t from);

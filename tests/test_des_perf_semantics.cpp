@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/figures.hpp"
 #include "des/audit.hpp"
 #include "des/process.hpp"
@@ -228,6 +231,195 @@ TEST(SimulationSemantics, CancelHeavyMixedLoadKeepsCalendarBounded) {
   EXPECT_LE(sim.calendar_entries(), 2u * sim.events_pending() + 128u);
   sim.run();
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kOps));
+}
+
+// --- calendar differential: wheel + heap + lane vs a sorted reference ---
+
+/// Drives one Simulation with random operations and mirrors every pending
+/// event's (time, seq) key in a std::set.  Each callback checks that it is
+/// the reference minimum, so any reordering by the wheel, the heap, the
+/// immediate lane or their merge fails at the first misplaced event.
+class CalendarOracle {
+ public:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  explicit CalendarOracle(std::uint64_t seed) : rng_(seed) {}
+
+  des::Simulation sim;
+  std::uint64_t mismatches = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t compactions = 0;
+
+  /// A delay from one of the calendar's regimes: same time (the lane),
+  /// the next few cycles, anywhere in the wheel's window, fractional
+  /// times, and beyond the window (the heap).
+  SimTime draw_delay() {
+    switch (rng_.uniform_int(0, 4)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return static_cast<SimTime>(rng_.uniform_int(1, 3));
+      case 2:
+        return static_cast<SimTime>(rng_.uniform_int(0, 300));
+      case 3:
+        return rng_.uniform(0.0, 40.0);
+      default:
+        return 1000.0 + static_cast<SimTime>(rng_.uniform_int(1, 4000));
+    }
+  }
+
+  void schedule(SimTime at) {
+    const des::EventId id = sim.schedule_at(at, [this] { fire(); });
+    track(id, {at, next_seq_++});
+  }
+
+  void reserve() {
+    if (sim.allocate_seq() != next_seq_) ++mismatches;
+    reserved_.push_back(next_seq_++);
+  }
+
+  /// Schedules under a reserved (older) key, as the packet network does.
+  void schedule_reserved() {
+    if (reserved_.empty()) return;
+    const std::size_t pick = rng_.uniform_int(0, reserved_.size() - 1);
+    const std::uint64_t seq = reserved_[pick];
+    reserved_[pick] = reserved_.back();
+    reserved_.pop_back();
+    SimTime delay = draw_delay();
+    if (delay == 0.0) delay = 0.5;  // keyed events are strictly future
+    const SimTime at = sim.now() + delay;
+    const des::EventId id =
+        sim.schedule_static_at_seq(at, seq, &fire_static, this, 0, 0);
+    track(id, {at, seq});
+  }
+
+  /// Cancels a random id (possibly one already dispatched).
+  void cancel_one() {
+    if (ids_.empty()) return;
+    std::swap(ids_[rng_.uniform_int(0, ids_.size() - 1)], ids_.back());
+    cancel_newest();
+  }
+
+  /// Schedules a burst and cancels most of it: stale entries come to
+  /// outnumber live ones, which compacts the calendar.
+  void cancel_burst() {
+    for (int i = 0; i < 80; ++i) schedule(sim.now() + draw_delay());
+    for (int i = 0; i < 70; ++i) cancel_newest();
+  }
+
+  void run_slice() {
+    const SimTime horizon = sim.now() + rng_.uniform(0.0, 60.0);
+    sim.run_until(horizon);
+    if (!pending_.empty() && pending_.begin()->first <= horizon) ++mismatches;
+    if (sim.now() != horizon) ++mismatches;
+  }
+
+  void step() {
+    const std::uint64_t before = fired;
+    const bool expected = !pending_.empty();
+    if (sim.step() != expected) ++mismatches;
+    if (fired != before + (expected ? 1 : 0)) ++mismatches;
+  }
+
+  void drain() {
+    sim.run();
+    if (!pending_.empty() || sim.events_pending() != 0) ++mismatches;
+    if (sim.events_dispatched() != fired) ++mismatches;
+  }
+
+  /// One random operation (the callbacks add nested scheduling).
+  void random_op() {
+    const double r = rng_.uniform();
+    if (r < 0.35) {
+      schedule(sim.now() + draw_delay());
+    } else if (r < 0.45) {
+      reserve();
+    } else if (r < 0.55) {
+      schedule_reserved();
+    } else if (r < 0.68) {
+      cancel_one();
+    } else if (r < 0.72) {
+      cancel_burst();
+    } else if (r < 0.88) {
+      run_slice();
+    } else {
+      step();
+    }
+  }
+
+ private:
+  static void fire_static(void* ctx, std::uint64_t, std::uint64_t) {
+    static_cast<CalendarOracle*>(ctx)->fire();
+  }
+
+  void fire() {
+    ++fired;
+    const Key got{sim.now(), sim.current_dispatch_seq()};
+    if (pending_.empty() || *pending_.begin() != got) {
+      ++mismatches;
+      pending_.erase(got);
+    } else {
+      pending_.erase(pending_.begin());
+    }
+    // Nested scheduling from inside dispatch: same-time events land in
+    // the immediate lane behind calendar entries at now().
+    if (rng_.uniform() < 0.45) schedule(sim.now() + draw_delay());
+  }
+
+  void track(des::EventId id, Key key) {
+    pending_.insert(key);
+    ids_.push_back({id, key});
+  }
+
+  void cancel_newest() {
+    const auto [id, key] = ids_.back();
+    ids_.pop_back();
+    const std::size_t stale_before = sim.stale_calendar_entries();
+    const bool was_pending = pending_.erase(key) == 1;
+    if (sim.cancel(id) != was_pending) ++mismatches;
+    if (was_pending && sim.stale_calendar_entries() <= stale_before) {
+      ++compactions;
+    }
+  }
+
+  Rng rng_;
+  std::set<Key> pending_;
+  std::vector<std::pair<des::EventId, Key>> ids_;
+  std::vector<std::uint64_t> reserved_;
+  std::uint64_t next_seq_ = 1;
+};
+
+TEST(CalendarDifferential, RandomOperationsMatchSortedReference) {
+  std::uint64_t compactions = 0;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    CalendarOracle oracle(0xca1e0da5ULL + trial);
+    // Odd trials also run the kernel's invariant sweep after every
+    // operation, so wheel state after run_until peeks and compactions
+    // is checked, not only the dispatch order.
+    const bool audited = (trial % 2) == 1;
+    if (audited) oracle.sim.set_audit(true);
+    for (int op = 0; op < 300; ++op) {
+      oracle.random_op();
+      if (audited) oracle.sim.audit_check_now();
+    }
+    oracle.drain();
+    ASSERT_EQ(oracle.mismatches, 0u) << "trial " << trial;
+    EXPECT_GT(oracle.fired, 0u);
+    compactions += oracle.compactions;
+  }
+  EXPECT_GT(compactions, 0u);  // the cancel path did compact
+}
+
+TEST(CalendarDifferential, RunUntilPeekDoesNotMoveTheWindow) {
+  // run_until(100) looks at the event at 150 and leaves it pending; an
+  // event then scheduled inside [now, 150) must still dispatch first.
+  des::Simulation sim;
+  std::vector<SimTime> order;
+  sim.schedule_at(150.0, [&] { order.push_back(sim.now()); });
+  sim.run_until(100.0);
+  sim.schedule_at(120.0, [&] { order.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<SimTime>{120.0, 150.0}));
 }
 
 // --- figure pipeline determinism ----------------------------------------
