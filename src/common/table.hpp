@@ -32,9 +32,14 @@ class Table {
   /// Numeric value of cell (r, c); throws if the cell is text.
   [[nodiscard]] double number_at(std::size_t r, std::size_t c) const;
 
-  /// Renders an aligned, human-readable table.
+  /// Appends the aligned, human-readable table to `out`.
+  void append_text(std::string& out) const;
+  /// Appends RFC-4180-ish CSV (header + rows; title as a comment line).
+  void append_csv(std::string& out) const;
+
+  /// Writes append_text's bytes to `os` in one write.
   void print(std::ostream& os) const;
-  /// Renders RFC-4180-ish CSV (header + rows; title as a comment line).
+  /// Writes append_csv's bytes to `os` in one write.
   void print_csv(std::ostream& os) const;
 
  private:
@@ -43,7 +48,9 @@ class Table {
   std::vector<std::vector<Cell>> rows_;
 };
 
-/// Formats a double compactly (fixed for mid-range, scientific otherwise).
+/// Formats a double compactly: "0" for zero, "%.4g" for |v| < 1e-3 or
+/// |v| >= 1e7, the integer when v is within 1e-9 (relative) of one, and
+/// "%.4f" otherwise.
 [[nodiscard]] std::string format_number(double v);
 
 }  // namespace pimsim

@@ -177,18 +177,21 @@ void print_table_json(std::ostream& os, const Table& t) {
   os.precision(old_precision);
 }
 
-/// Renders `table` as format ("text" | "csv" | "json") to `os`, matching
-/// bench::emit byte-for-byte for text/CSV (table + one blank line).
-void render(std::ostream& os, const Table& table, const std::string& format) {
+/// Appends `table` rendered as format ("text" | "csv" | "json") to `out`,
+/// matching bench::emit byte-for-byte for text/CSV (table + one blank
+/// line).
+void render(std::string& out, const Table& table, const std::string& format) {
   if (format == "csv") {
-    table.print_csv(os);
-    os << "\n";
+    table.append_csv(out);
+    out += '\n';
   } else if (format == "json") {
+    std::ostringstream os;
     print_table_json(os, table);
+    out += os.str();
   } else {
     ensure(format == "text", "render: format not validated by format_of");
-    table.print(os);
-    os << "\n";
+    table.append_text(out);
+    out += '\n';
   }
 }
 
@@ -340,10 +343,12 @@ int cmd_run(const std::vector<std::string>& args) {
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
+  std::string text;
+  render(text, table, format);
   // Opened only after a successful run: a failed run (typo'd key, bad
   // grid) must not truncate an existing results file.
   const auto out = open_out(cfg);
-  render(out ? *out : std::cout, table, format);
+  (out ? *out : std::cout) << text;
   if (audit) report_audit(std::cerr);
   if (!trace_path.empty()) write_trace_file(trace_path);
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
@@ -421,13 +426,14 @@ std::vector<SweepPoint> expand_grid(const Scenario& scenario,
 /// it: "# <scenario> <assignment>\n" + the rendered table.  Sharded
 /// chunks store these blocks verbatim, which is what makes the merged
 /// file byte-identical to an unsharded run.
-std::string render_block(const Scenario& scenario, const SweepPoint& point,
-                         const Table& table, const std::string& format) {
-  std::ostringstream os;
-  os << "# " << scenario.name
-     << (point.assignment.empty() ? "" : " " + point.assignment) << "\n";
-  render(os, table, format);
-  return os.str();
+std::string render_block(const std::string& scenario,
+                         const std::string& assignment, const Table& table,
+                         const std::string& format) {
+  std::string block = "# " + scenario;
+  if (!assignment.empty()) block += " " + assignment;
+  block += '\n';
+  render(block, table, format);
+  return block;
 }
 
 /// Grid identity + deterministic shard plan for a sharded sweep.  The
@@ -544,47 +550,39 @@ int run_shard(const Scenario& scenario, const Config& cli,
   // as the unsharded run would have.
   enable_metrics();
   if (profile) enable_profile();
+  // Each unit is run, rendered and fingerprinted on the worker that ran
+  // it, so its Table dies there; the slots are indexed, so the chunk is
+  // the same at any jobs=N.
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<Table>> tables(mine.size());
+  std::vector<ChunkPoint> chunk_points(mine.size());
   SweepRunner runner(jobs);
   runner.for_each(mine.size(), [&](std::size_t i) {
+    ChunkPoint& p = chunk_points[i];
     if (grid.replicated) {
-      const std::size_t point = grid.unit_point[mine[i]];
-      const std::size_t rep = grid.unit_rep[mine[i]];
+      p.point = grid.unit_point[mine[i]];
+      p.rep = grid.unit_rep[mine[i]];
       // Single-rep points run the reps=1 bypass (raw seed), exactly as
       // the unsharded sweep does; multi-rep points run one derived-seed
       // replication per unit.
-      tables[i] = std::make_unique<Table>(
-          grid.point_reps[point] == 1
-              ? run_scenario(scenario, points[point].cfg,
+      p.block = serialize_table(
+          grid.point_reps[p.point] == 1
+              ? run_scenario(scenario, points[p.point].cfg,
                              {"format", "out"})
-              : run_replication(scenario, points[point].cfg, rep,
+              : run_replication(scenario, points[p.point].cfg, p.rep,
                                 {"format", "out"}));
     } else {
-      tables[i] = std::make_unique<Table>(run_scenario(
-          scenario, points[mine[i]].cfg, {"format", "out"}));
+      p.point = mine[i];
+      p.block = render_block(
+          scenario.name, points[p.point].assignment,
+          run_scenario(scenario, points[p.point].cfg, {"format", "out"}),
+          format);
     }
+    p.assignment = points[p.point].assignment;
+    p.fingerprint = data_fingerprint(p.block);
   });
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-
-  std::vector<ChunkPoint> chunk_points;
-  chunk_points.reserve(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    ChunkPoint p;
-    if (grid.replicated) {
-      p.point = grid.unit_point[mine[i]];
-      p.rep = grid.unit_rep[mine[i]];
-      p.block = serialize_table(*tables[i]);
-    } else {
-      p.point = mine[i];
-      p.block = render_block(scenario, points[p.point], *tables[i], format);
-    }
-    p.assignment = points[p.point].assignment;
-    p.fingerprint = data_fingerprint(p.block);
-    chunk_points.push_back(std::move(p));
-  }
   write_chunk(dir, grid, shard.index, chunk_points,
               obs::MetricsHub::global().snapshot_bytes(), elapsed);
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
@@ -679,11 +677,12 @@ int cmd_sweep(const std::vector<std::string>& args) {
   if (!metrics_path.empty()) enable_metrics();
   if (profile) enable_profile();
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<Table>> tables(points.size());
+  std::vector<std::string> blocks(points.size());
   SweepRunner runner(jobs);
   runner.for_each(points.size(), [&](std::size_t i) {
-    tables[i] = std::make_unique<Table>(
-        run_scenario(scenario, points[i].cfg, {"format", "out"}));
+    blocks[i] = render_block(
+        scenario.name, points[i].assignment,
+        run_scenario(scenario, points[i].cfg, {"format", "out"}), format);
   });
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
@@ -693,9 +692,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
   // truncate an existing results file.
   const auto out = open_out(cli);
   std::ostream& os = out ? *out : std::cout;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    os << render_block(scenario, points[i], *tables[i], format);
-  }
+  for (const std::string& block : blocks) os << block;
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
   if (profile) report_profile(std::cerr);
   std::cerr << "# swept " << points.size() << " point(s) on "
@@ -776,11 +773,8 @@ int cmd_merge(const std::vector<std::string>& args) {
       for (std::size_t r = 0; r < grid.point_reps[i]; ++r) {
         reps.push_back(deserialize_table(blocks[unit_offset[i] + r]));
       }
-      const Table folded = fold_replications(reps);
-      os << "# " << grid.scenario
-         << (grid.assignments[i].empty() ? "" : " " + grid.assignments[i])
-         << "\n";
-      render(os, folded, grid.format);
+      os << render_block(grid.scenario, grid.assignments[i],
+                         fold_replications(reps), grid.format);
     }
   } else {
     for (const std::string& block : blocks) os << block;
@@ -793,9 +787,9 @@ int cmd_merge(const std::vector<std::string>& args) {
 }
 
 std::string render_csv(const Scenario& scenario, const Config& cfg) {
-  std::ostringstream os;
-  run_scenario(scenario, cfg, {}).print_csv(os);
-  return os.str();
+  std::string csv;
+  run_scenario(scenario, cfg, {}).append_csv(csv);
+  return csv;
 }
 
 int verify_one(const Scenario& s, bool strict, bool audit) {

@@ -5,7 +5,6 @@
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "analytic/accuracy.hpp"
 #include "analytic/hwp_lwp.hpp"
@@ -271,9 +270,9 @@ std::uint64_t data_fingerprint(const std::string& data) {
 }
 
 std::uint64_t table_fingerprint(const Table& table) {
-  std::ostringstream csv;
-  table.print_csv(csv);
-  return data_fingerprint(csv.str());
+  std::string csv;
+  table.append_csv(csv);
+  return data_fingerprint(csv);
 }
 
 // --- built-in scenarios ---------------------------------------------------

@@ -3,7 +3,8 @@
 // end-to-end chunk contract through the real CLI — merge of N shards is
 // byte-identical to the unsharded sweep (CSV and metrics) for
 // N in {1, 2, 4}, a complete chunk is a no-op skip on rerun, and
-// corrupted / foreign / missing chunks are detected, not merged.
+// corrupted / foreign / missing chunks are detected, not merged, and a
+// sweep's output, chunks and fingerprints do not depend on jobs=N.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -242,6 +243,63 @@ TEST_F(ShardEndToEnd, NonIntegralOrHugeManifestCountsAreRejected) {
   }
   std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
   EXPECT_EQ(merge("chunks", "merged.csv"), 0);
+}
+
+/// Everything one sweep variant writes at a given jobs=N: the unsharded
+/// output, the merge of a 2-way sharded run, each chunk's block bytes and
+/// each sidecar's per-unit fingerprints.
+struct SweepBytes {
+  std::string unsharded;
+  std::string merged;
+  std::vector<std::string> chunk_blocks;
+  std::vector<std::uint64_t> fingerprints;
+};
+
+TEST_F(ShardEndToEnd, OutputIsIndependentOfJobsPlainAndReplicated) {
+  // Every point is rendered (or serialized) and fingerprinted on the
+  // worker that ran it; none of that may depend on the worker count.
+  const std::vector<std::vector<std::string>> variants = {
+      {"format=csv"}, {"format=text"}, {"format=csv", "reps=1,3"}};
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SweepBytes at[2];
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SweepBytes& out = at[jobs == 1 ? 0 : 1];
+      const std::string tag = std::to_string(v) + "_j" + std::to_string(jobs);
+      std::vector<std::string> base{"sweep", "memory_contention", config(),
+                                    "jobs=" + std::to_string(jobs)};
+      base.insert(base.end(), variants[v].begin(), variants[v].end());
+
+      std::vector<std::string> args = base;
+      args.push_back("out=" + (root_ / ("un" + tag)).string());
+      ASSERT_EQ(run_cli(args), 0) << tag;
+      out.unsharded = slurp(root_ / ("un" + tag));
+
+      const fs::path dir = root_ / ("chunks" + tag);
+      for (std::size_t i = 0; i < 2; ++i) {
+        args = base;
+        args.push_back("shard=" + std::to_string(i) + "/2");
+        args.push_back("out=" + dir.string());
+        ASSERT_EQ(run_cli(args), 0) << tag << " shard " << i;
+      }
+      ASSERT_EQ(merge("chunks" + tag, "merged" + tag), 0) << tag;
+      out.merged = slurp(root_ / ("merged" + tag));
+
+      const GridSpec grid = read_manifest(dir.string());
+      EXPECT_EQ(grid.replicated, variants[v].size() > 1) << tag;
+      for (std::size_t i = 0; i < 2; ++i) {
+        out.chunk_blocks.push_back(slurp(dir / (chunk_basename(i, 2) + ".csv")));
+        for (const ChunkPoint& p : read_chunk(dir.string(), grid, i).points) {
+          out.fingerprints.push_back(p.fingerprint);
+        }
+      }
+    }
+    EXPECT_FALSE(at[0].unsharded.empty()) << v;
+    EXPECT_EQ(at[0].merged, at[0].unsharded) << v;
+    EXPECT_EQ(at[1].unsharded, at[0].unsharded) << v;
+    EXPECT_EQ(at[1].merged, at[0].merged) << v;
+    EXPECT_EQ(at[1].chunk_blocks, at[0].chunk_blocks) << v;
+    EXPECT_EQ(at[1].fingerprints, at[0].fingerprints) << v;
+  }
 }
 
 TEST_F(ShardEndToEnd, ShardWithoutOutDirAndBadDirAreRejected) {
