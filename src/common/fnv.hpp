@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <vector>
 
 namespace pimsim {
 
@@ -30,6 +32,14 @@ inline constexpr std::uint64_t kFnvOffsetShort = 1469598103934665603ULL;
   }
   return h;
 }
+
+/// fnv1a(h, blocks[i]) for every block, in order.  A chain is bound by
+/// its multiply's latency, so four independent blocks share one loop
+/// until the shortest of them ends, and each tail finishes alone.  Every
+/// value is bit-identical to fnv1a's.  Defined in fnv.cpp, which keeps
+/// this header (included by the event kernel) free of the loop.
+[[nodiscard]] std::vector<std::uint64_t> fnv1a_each(
+    std::uint64_t h, std::span<const std::string_view> blocks);
 
 /// FNV-1a over the 8 bytes of `word`, least significant first, chained
 /// onto `h`.

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace pimsim {
 
@@ -26,7 +27,7 @@ inline std::string json_escape(const std::string& in) {
 
 /// Inverse of json_escape: `\n` and `\t` decode to their control
 /// characters and any other escaped byte (`\"`, `\\`) to itself.
-inline std::string json_unescape(const std::string& in) {
+inline std::string json_unescape(std::string_view in) {
   std::string out;
   out.reserve(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {

@@ -82,7 +82,10 @@ void write_chunk(const std::string& dir, const GridSpec& grid,
 
 /// True when the shard's chunk exists and validates against `grid`
 /// (sidecar parses, grid fingerprint and planned point set match, every
-/// block's bytes match its recorded fingerprint) — the resume check.
+/// block's bytes match its recorded fingerprint) — the resume check.  It
+/// runs read_chunk's checks on one read of each file and copies no block;
+/// a chunk that fails any of them is reported incomplete, so it is
+/// recomputed.
 [[nodiscard]] bool chunk_complete(const std::string& dir, const GridSpec& grid,
                                   std::size_t shard);
 
@@ -90,9 +93,12 @@ void write_chunk(const std::string& dir, const GridSpec& grid,
 /// weights needed).  Throws InvalidArgument when missing or malformed.
 [[nodiscard]] GridSpec read_manifest(const std::string& dir);
 
-/// Reads and fully validates one chunk against `grid`.  Throws
-/// InvalidArgument naming the file and the defect (missing, truncated,
-/// grid mismatch, wrong point set, fingerprint divergence).
+/// Reads and fully validates one chunk against `grid`.  Each file is read
+/// once and parsed in place; every block is hashed once, in that buffer,
+/// and copied once, into its ChunkPoint.  Throws InvalidArgument naming
+/// the file and the defect (missing, truncated, trailing bytes, grid
+/// mismatch, wrong point set, assignment or fingerprint divergence,
+/// malformed metrics hex).
 [[nodiscard]] ChunkData read_chunk(const std::string& dir,
                                    const GridSpec& grid, std::size_t shard);
 

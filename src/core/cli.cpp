@@ -748,11 +748,11 @@ int cmd_merge(const std::vector<std::string>& args) {
       grid.replicated ? grid.unit_point.size() : grid.assignments.size());
   double shard_wall = 0.0;
   for (std::size_t s = 0; s < grid.shards; ++s) {
-    const ChunkData data = read_chunk(dir, grid, s);
+    ChunkData data = read_chunk(dir, grid, s);
     shard_wall += data.wall_seconds;
-    for (const ChunkPoint& p : data.points) {
+    for (ChunkPoint& p : data.points) {
       blocks[grid.replicated ? unit_offset[p.point] + p.rep : p.point] =
-          p.block;
+          std::move(p.block);
     }
     if (!metrics_path.empty()) {
       for (const std::string& snapshot : data.metrics) {

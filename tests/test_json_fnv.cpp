@@ -1,15 +1,19 @@
 // The shared encoders in src/common: JSON string escaping (every JSON
 // writer and the chunk-manifest reader) and FNV-1a 64 (every fingerprint,
-// the audit chain and the golden delivery hashes).  The two FNV offset
+// the audit chain and the golden delivery hashes), including the
+// four-lane form that checks chunk blocks.  The two FNV offset
 // bases are pinned here because every recorded fingerprint depends on
 // them (docs/DETERMINISM.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/fnv.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "core/scenario.hpp"
 #include "des/simulation.hpp"
 #include "golden_traffic.hpp"
@@ -41,6 +45,43 @@ TEST(Fnv1a, DataFingerprintKeepsTheShortBasis) {
   EXPECT_EQ(kFnvOffsetShort, 1469598103934665603ULL);
   EXPECT_EQ(core::data_fingerprint(""), 1469598103934665603ULL);
   EXPECT_EQ(core::data_fingerprint("a"), 0x44bd8ad473cd9906ULL);
+}
+
+TEST(Fnv1a, FourLaneFormMatchesOneBlockAtATime) {
+  // Seeded views into one random pool: empty and one-byte blocks, lanes
+  // of unequal length, blocks past 64 KiB, and every count from 0 to 13,
+  // so 1-3 blocks are left after the last group of four.
+  Rng rng(20261020);
+  std::string pool(160 * 1024, '\0');
+  for (char& c : pool) c = static_cast<char>(rng.uniform_int(0, 255));
+  const auto block = [&](std::size_t len) {
+    return std::string_view(pool).substr(
+        rng.uniform_int(0, pool.size() - len), len);
+  };
+  std::vector<std::vector<std::string_view>> cases = {
+      {block(0), block(1), block(70 * 1024), block(3)},
+      {block(1), block(0), block(0), block(1), block(65 * 1024 + 1)}};
+  for (std::size_t count = 0; count <= 13; ++count) {
+    std::vector<std::string_view> blocks;
+    for (std::size_t i = 0; i < count; ++i) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0: blocks.push_back(block(0)); break;
+        case 1: blocks.push_back(block(1)); break;
+        case 2: blocks.push_back(block(rng.uniform_int(64 * 1024, 96 * 1024))); break;
+        default: blocks.push_back(block(rng.uniform_int(2, 3000)));
+      }
+    }
+    cases.push_back(blocks);
+  }
+  for (const std::vector<std::string_view>& blocks : cases) {
+    const std::vector<std::uint64_t> hashes = fnv1a_each(kFnvOffsetShort, blocks);
+    ASSERT_EQ(hashes.size(), blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      EXPECT_EQ(hashes[i], fnv1a(kFnvOffsetShort, blocks[i]))
+          << "block " << i << " of " << blocks.size() << ", "
+          << blocks[i].size() << " bytes";
+    }
+  }
 }
 
 TEST(Fnv1a, WordFormHashesLittleEndianBytes) {

@@ -4,11 +4,14 @@
 // byte-identical to the unsharded sweep (CSV and metrics) for
 // N in {1, 2, 4}, a complete chunk is a no-op skip on rerun, and
 // corrupted / foreign / missing chunks are detected, not merged, and a
-// sweep's output, chunks and fingerprints do not depend on jobs=N.
+// sweep's output, chunks and fingerprints do not depend on jobs=N.  A
+// defect matrix damages one chunk in each way the reader checks for, and
+// escaped assignments round-trip through the manifest and sidecar text.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -20,6 +23,7 @@
 #include "common/error.hpp"
 #include "core/chunk.hpp"
 #include "core/cli.hpp"
+#include "core/scenario.hpp"
 #include "core/sweep.hpp"
 
 namespace pimsim::core {
@@ -243,6 +247,181 @@ TEST_F(ShardEndToEnd, NonIntegralOrHugeManifestCountsAreRejected) {
   }
   std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
   EXPECT_EQ(merge("chunks", "merged.csv"), 0);
+}
+
+/// One way to damage a chunk: the file it changes, how, and the defect
+/// read_chunk must then name.
+struct Defect {
+  std::string name;
+  bool in_csv = false;  ///< the block file, else the sidecar
+  std::function<void(std::string&)> damage;
+  std::string message;
+};
+
+void replace_first(std::string& text, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+}
+
+TEST_F(ShardEndToEnd, EveryChunkDefectIsNamedRejectedAndRecomputed) {
+  // Six points, three per shard, so shard 1's chunk has a middle block.
+  std::ofstream(root_ / "six.cfg")
+      << "ops=20000\nnodes=2\nbanks=1,2\nseed=3,5,7\nqueue=0,1\n";
+  const std::string cfg = "config=" + (root_ / "six.cfg").string();
+  const fs::path dir = root_ / "six";
+  const auto sweep_shard = [&](const char* shard) {
+    return run_cli({"sweep", "memory_contention", cfg, "format=csv",
+                    std::string("shard=") + shard, "out=" + dir.string()});
+  };
+  ASSERT_EQ(run_cli({"sweep", "memory_contention", cfg, "format=csv",
+                     "out=" + (root_ / "six.csv").string()}),
+            0);
+  ASSERT_EQ(sweep_shard("0/2"), 0);
+  ASSERT_EQ(sweep_shard("1/2"), 0);
+  const std::string unsharded = slurp(root_ / "six.csv");
+  const fs::path side = dir / "chunk-1-of-2.json";
+  const fs::path csv = dir / "chunk-1-of-2.csv";
+  const std::string side_ok = slurp(side);
+  const std::string csv_ok = slurp(csv);
+  const GridSpec grid = read_manifest(dir.string());
+  const ChunkData chunk = read_chunk(dir.string(), grid, 1);
+  ASSERT_EQ(chunk.points.size(), 3u);
+  ASSERT_FALSE(chunk.metrics.empty());
+  const std::size_t middle =
+      chunk.points[0].block.size() + chunk.points[1].block.size() / 2;
+  const std::string middle_point = std::to_string(chunk.points[1].point);
+  std::size_t foreign = 0;  // a point shard 0 owns
+  while (grid.shard_of[foreign] == 1) ++foreign;
+  // Offset of the first metrics snapshot's opening quote.
+  const auto snapshot = [](const std::string& s) {
+    return s.find('"', s.find('[', s.find("\"metrics\"")));
+  };
+
+  const std::vector<Defect> defects = {
+      {"truncated CSV", true, [](std::string& c) { c.pop_back(); },
+       "truncated"},
+      {"one trailing byte", true, [](std::string& c) { c += 'X'; },
+       "trailing bytes beyond the recorded points"},
+      {"flipped byte in the middle block", true,
+       [&](std::string& c) { c[middle] ^= 0x01; },
+       "point " + middle_point + " bytes do not match the recorded fingerprint"},
+      {"wrong schema", false,
+       [](std::string& s) {
+         replace_first(s, "\"pimsim-chunk-v1\"", "\"pimsim-chunk-v9\"");
+       },
+       "unknown schema"},
+      {"wrong grid_fingerprint", false,
+       [](std::string& s) {
+         const std::size_t end =
+             s.find('"', s.find("\"0x", s.find("\"grid_fingerprint\"")) + 1);
+         s[end - 1] = s[end - 1] == '0' ? '1' : '0';
+       },
+       "grid fingerprint mismatch"},
+      {"shard id differs from the filename", false,
+       [](std::string& s) { replace_first(s, "\"shard\": 1,", "\"shard\": 0,"); },
+       "shard id disagrees with filename"},
+      {"point line deleted", false,
+       [](std::string& s) {
+         const std::size_t begin = s.rfind('\n', s.find("{\"point\":")) + 1;
+         s.erase(begin, s.find('\n', begin) + 1 - begin);
+       },
+       "point set diverges from the manifest's shard plan"},
+      {"point outside the shard plan", false,
+       [&](std::string& s) {
+         replace_first(s, "{\"point\": " + middle_point + ",",
+                       "{\"point\": " + std::to_string(foreign) + ",");
+       },
+       "point set diverges from the manifest's shard plan"},
+      {"assignment differs from the manifest", false,
+       [](std::string& s) {
+         replace_first(s, "\"assignment\": \"", "\"assignment\": \"x");
+       },
+       "point assignment differs from the manifest"},
+      {"odd-length metrics hex", false,
+       [&](std::string& s) { s.insert(snapshot(s) + 1, "0"); },
+       "odd-length metrics snapshot hex"},
+      {"non-hex metrics digit", false,
+       [&](std::string& s) { s[snapshot(s) + 1] = 'g'; },
+       "metrics snapshot is not valid hex"},
+      {"unterminated metrics snapshot", false,
+       [](std::string& s) { s.erase(s.rfind('"'), 1); },
+       "unterminated metrics snapshot"},
+      {"missing metrics", false,
+       [](std::string& s) { replace_first(s, "\"metrics\"", "\"metricz\""); },
+       "missing field \"metrics\""},
+  };
+  for (const Defect& d : defects) {
+    SCOPED_TRACE(d.name);
+    const fs::path& target = d.in_csv ? csv : side;
+    std::string bytes = d.in_csv ? csv_ok : side_ok;
+    d.damage(bytes);
+    std::ofstream(target, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      (void)read_chunk(dir.string(), grid, 1);
+      ADD_FAILURE() << "read_chunk accepted the damaged chunk";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + target.string() + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(d.message), std::string::npos) << what;
+    } catch (const ConfigError& e) {
+      ADD_FAILURE() << "not an InvalidArgument: " << e.what();
+    }
+    EXPECT_NE(merge("six", "six_merged.csv"), 0);
+    ASSERT_EQ(sweep_shard("1/2"), 0);  // the resume check recomputes
+    EXPECT_EQ(slurp(csv), csv_ok);
+    EXPECT_NO_THROW((void)read_chunk(dir.string(), grid, 1));
+    ASSERT_EQ(merge("six", "six_merged.csv"), 0);
+    EXPECT_EQ(slurp(root_ / "six_merged.csv"), unsharded);
+  }
+}
+
+TEST(ChunkText, EscapedAssignmentsRoundTripThroughManifestAndSidecar) {
+  // json_escape writes a value ending in a backslash as `"tag=a\\"`: the
+  // readers must step over escape pairs, not stop at (or skip) that quote.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pimsim_test_chunk_text_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  GridSpec grid;
+  grid.scenario = "memory_contention";
+  grid.format = "csv";
+  grid.shards = 1;
+  grid.grid_fingerprint = 0x0123456789abcdefULL;
+  grid.assignments = {"tag=a\\", "quote=\"q\"", "path=C:\\dir\\ x=\\\"",
+                      "tab=\t nl=\n", "plain=1", "\\"};
+  grid.shard_of.assign(grid.assignments.size(), 0);
+  write_or_check_manifest(dir.string(), grid);
+  const GridSpec back = read_manifest(dir.string());
+  EXPECT_EQ(back.scenario, grid.scenario);
+  EXPECT_EQ(back.format, grid.format);
+  EXPECT_EQ(back.grid_fingerprint, grid.grid_fingerprint);
+  EXPECT_EQ(back.assignments, grid.assignments);
+  EXPECT_EQ(back.shard_of, grid.shard_of);
+
+  std::vector<ChunkPoint> points;
+  for (std::size_t i = 0; i < grid.assignments.size(); ++i) {
+    ChunkPoint p;
+    p.point = i;
+    p.assignment = grid.assignments[i];
+    p.block = "# " + p.assignment + "\nx\n" + std::to_string(i) + "\n";
+    p.fingerprint = data_fingerprint(p.block);
+    points.push_back(p);
+  }
+  const std::vector<std::string> metrics = {std::string("\x00\x7f\xff", 3), ""};
+  write_chunk(dir.string(), grid, 0, points, metrics, 0.25);
+  EXPECT_TRUE(chunk_complete(dir.string(), back, 0));
+  const ChunkData data = read_chunk(dir.string(), back, 0);
+  ASSERT_EQ(data.points.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(data.points[i].assignment, points[i].assignment) << i;
+    EXPECT_EQ(data.points[i].block, points[i].block) << i;
+    EXPECT_EQ(data.points[i].fingerprint, points[i].fingerprint) << i;
+  }
+  EXPECT_EQ(data.metrics, metrics);
+  EXPECT_EQ(data.wall_seconds, 0.25);
+  fs::remove_all(dir);
 }
 
 /// Everything one sweep variant writes at a given jobs=N: the unsharded
