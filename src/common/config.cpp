@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -55,60 +56,83 @@ bool Config::has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
-std::string Config::get_string(const std::string& key,
-                               const std::string& fallback) const {
-  used_.insert(key);
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
+namespace {
 
-double Config::get_double(const std::string& key, double fallback) const {
-  used_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+double parse_double(const std::string& key, const std::string& text) {
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  require(end != nullptr && *end == '\0' && end != it->second.c_str(),
-          "Config: value for '" + key + "' is not a number: " + it->second);
+  const double v = std::strtod(text.c_str(), &end);
+  require(end != nullptr && *end == '\0' && end != text.c_str(), [&] {
+    return "Config: value for '" + key + "' is not a number: " + text;
+  });
   return v;
 }
 
-std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
+}  // namespace
+
+const std::string& Config::at(const std::string& key) const {
   used_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const auto it = values_.find(key);
+  require(it != values_.end(), [&] { return "Config: missing key '" + key + "'"; });
+  return it->second;
+}
+
+std::string Config::get_string(const std::string& key) const { return at(key); }
+
+double Config::get_double(const std::string& key) const {
+  return parse_double(key, at(key));
+}
+
+std::int64_t Config::get_int(const std::string& key) const {
+  const std::string& text = at(key);
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  require(end != nullptr && *end == '\0' && end != it->second.c_str(),
-          "Config: value for '" + key + "' is not an integer: " + it->second);
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  require(end != nullptr && *end == '\0' && end != text.c_str(), [&] {
+    return "Config: value for '" + key + "' is not an integer: " + text;
+  });
+  // strtoll clamps out-of-range text to INT64_MAX/MIN; refuse, not misread.
+  require(errno != ERANGE, [&] {
+    return "Config: value for '" + key + "' is outside int64: " + text;
+  });
   return v;
 }
 
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  used_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& s = it->second;
+bool Config::get_bool(const std::string& key) const {
+  const std::string& s = at(key);
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   throw ConfigError("Config: value for '" + key + "' is not a bool: " + s);
 }
 
+std::vector<double> Config::get_list(const std::string& key) const {
+  std::vector<double> out;
+  for (const std::string& piece : split_csv(at(key))) {
+    out.push_back(parse_double(key, piece));
+  }
+  require(!out.empty(), [&] { return "Config: list for '" + key + "' is empty"; });
+  return out;
+}
+
+std::string Config::get_string(const std::string& key,
+                               const std::string& fallback) const {
+  return has(key) ? get_string(key) : fallback;
+}
+
+double Config::get_double(const std::string& key, double fallback) const {
+  return has(key) ? get_double(key) : fallback;
+}
+
+std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
+  return has(key) ? get_int(key) : fallback;
+}
+
+bool Config::get_bool(const std::string& key, bool fallback) const {
+  return has(key) ? get_bool(key) : fallback;
+}
+
 std::vector<double> Config::get_list(const std::string& key,
                                      const std::vector<double>& fallback) const {
-  used_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::vector<double> out;
-  for (const std::string& piece : split_csv(it->second)) {
-    char* end = nullptr;
-    const double v = std::strtod(piece.c_str(), &end);
-    require(end != nullptr && *end == '\0' && end != piece.c_str(),
-            "Config: list element for '" + key + "' is not a number: " + piece);
-    out.push_back(v);
-  }
-  require(!out.empty(), "Config: list for '" + key + "' is empty");
-  return out;
+  return has(key) ? get_list(key) : fallback;
 }
 
 std::vector<std::string> Config::unused_keys() const {

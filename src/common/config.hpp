@@ -35,16 +35,23 @@ class Config {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
-  /// Typed getters; throw ConfigError when the value does not parse.
+  /// Typed getters; throw ConfigError when the value does not parse (an
+  /// integer past int64 included).  The one-argument forms have no
+  /// fallback and throw ConfigError on a missing key.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  [[nodiscard]] std::string get_string(const std::string& key) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  [[nodiscard]] double get_double(const std::string& key) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  [[nodiscard]] std::int64_t get_int(const std::string& key) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+  [[nodiscard]] bool get_bool(const std::string& key) const;
   /// Comma-separated list of doubles, e.g. "1,2,4,8".
   [[nodiscard]] std::vector<double> get_list(
       const std::string& key, const std::vector<double>& fallback) const;
+  [[nodiscard]] std::vector<double> get_list(const std::string& key) const;
 
   /// Keys that were set but never read; used to reject typos after setup.
   [[nodiscard]] std::vector<std::string> unused_keys() const;
@@ -52,6 +59,9 @@ class Config {
   void reject_unused() const;
 
  private:
+  /// Marks `key` read and returns its text; throws ConfigError if unset.
+  [[nodiscard]] const std::string& at(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> used_;
 };

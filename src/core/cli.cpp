@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -114,9 +115,8 @@ usage:
 void print_param_lines(std::ostream& os, const Scenario& s) {
   for (const ParamSpec& p : s.params) {
     os << "    " << p.key << " (" << to_string(p.kind) << ", default "
-       << (p.default_value.empty() ? "-" : p.default_value);
-    if (!p.range.empty()) os << ", range " << p.range;
-    os << ") — " << p.doc << "\n";
+       << p.default_value << ", range " << p.range_text() << ") — " << p.doc
+       << "\n";
   }
   if (s.params.empty()) os << "    (no parameters)\n";
 }
@@ -134,7 +134,7 @@ void print_list_json(std::ostream& os) {
       os << (j ? ",\n                " : "") << "{\"key\": \""
          << json_escape(p.key) << "\", \"type\": \"" << to_string(p.kind)
          << "\", \"default\": \"" << json_escape(p.default_value)
-         << "\", \"range\": \"" << json_escape(p.range) << "\", \"doc\": \""
+         << "\", \"range\": \"" << json_escape(p.range_text()) << "\", \"doc\": \""
          << json_escape(p.doc) << "\"}";
     }
     os << "]}" << (i + 1 < scenarios.size() ? "," : "") << "\n";
@@ -379,11 +379,9 @@ std::vector<SweepPoint> expand_grid(const Scenario& scenario,
   Config base;
   for (const std::string& key : key_order) {
     const std::string value = merged.get_string(key, "");
-    const auto spec =
-        std::find_if(scenario.params.begin(), scenario.params.end(),
-                     [&](const ParamSpec& p) { return p.key == key; });
+    const ParamSpec* spec = scenario.param(key);
     const bool is_list =
-        spec != scenario.params.end() && spec->kind == ParamSpec::Kind::kList;
+        spec != nullptr && spec->kind == ParamSpec::Kind::kList;
     if (!is_list && value.find(',') != std::string::npos) {
       Axis axis{key, split_csv(value)};
       require(!axis.values.empty(),
@@ -393,10 +391,8 @@ std::vector<SweepPoint> expand_grid(const Scenario& scenario,
       base.set(key, value);
     }
   }
-  const bool has_threads = std::any_of(
-      scenario.params.begin(), scenario.params.end(),
-      [](const ParamSpec& p) { return p.key == "threads"; });
-  if (pin_inner_threads && has_threads && !base.has("threads") &&
+  if (pin_inner_threads && scenario.param("threads") != nullptr &&
+      !base.has("threads") &&
       std::none_of(axes.begin(), axes.end(),
                    [](const Axis& a) { return a.key == "threads"; })) {
     base.set("threads", "1");  // outer pool owns the parallelism
@@ -597,6 +593,11 @@ int run_shard(const Scenario& scenario, const Config& cli,
   return 0;
 }
 
+/// The keys `pimsim sweep` consumes itself rather than passing to the
+/// scenario; they belong on the command line, never in the config file.
+constexpr const char* kSweepDriverKeys[] = {"config", "jobs",    "format", "out",
+                                            "metrics", "profile", "shard"};
+
 int cmd_sweep(const std::vector<std::string>& args) {
   require(!args.empty(), "pimsim sweep: missing scenario name");
   const Scenario& scenario = ScenarioRegistry::global().get(args[0]);
@@ -617,8 +618,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
   Config merged = Config::from_string(text);
   // Driver keys in the file would be silently shadowed by the CLI's
   // (format) or mistaken for scenario parameters (jobs) — reject loudly.
-  for (const char* driver :
-       {"config", "jobs", "format", "out", "metrics", "profile", "shard"}) {
+  for (const char* driver : kSweepDriverKeys) {
     require(!merged.has(driver),
             std::string("pimsim sweep: driver key '") + driver +
                 "' belongs on the command line, not in config file '" +
@@ -647,8 +647,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
     const auto eq = token.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = token.substr(0, eq);
-    if (key == "config" || key == "jobs" || key == "format" || key == "out" ||
-        key == "metrics" || key == "profile" || key == "shard") {
+    if (std::find(std::begin(kSweepDriverKeys), std::end(kSweepDriverKeys),
+                  key) != std::end(kSweepDriverKeys)) {
       continue;
     }
     merged.set(key, cli.get_string(key, ""));
@@ -794,9 +794,7 @@ std::string render_csv(const Scenario& scenario, const Config& cfg) {
 
 int verify_one(const Scenario& s, bool strict, bool audit) {
   Config cfg = Config::from_string(s.verify_params);
-  const bool has_threads = std::any_of(
-      s.params.begin(), s.params.end(),
-      [](const ParamSpec& p) { return p.key == "threads"; });
+  const bool has_threads = s.param("threads") != nullptr;
 
   // With audit on, each pass gets its own chain aggregate: the two
   // passes must produce the same combined event-chain hash, proving the
@@ -828,9 +826,7 @@ int verify_one(const Scenario& s, bool strict, bool audit) {
   // identical bytes (and identical event chains under audit) at any
   // sweep thread count — the reps=1 passes above never exercise the
   // fold, so run the verify grid once more at reps=2.
-  const bool has_reps = std::any_of(
-      s.params.begin(), s.params.end(),
-      [](const ParamSpec& p) { return p.key == "reps"; });
+  const bool has_reps = s.param("reps") != nullptr;
   bool reps_ok = true;
   bool reps_chain_ok = true;
   if (has_reps) {

@@ -38,69 +38,248 @@ const char* to_string(ParamSpec::Kind kind) {
   return "?";
 }
 
+ParamRange above(double lo) { return {.lo = lo, .lo_open = true}; }
+ParamRange at_least(double lo) { return {.lo = lo}; }
+ParamRange between(double lo, double hi) { return {.lo = lo, .hi = hi}; }
+ParamRange one_of(std::vector<std::string> choices) {
+  return {.choices = std::move(choices)};
+}
+ParamRange list_of(std::vector<std::string> choices) {
+  return {.choices = std::move(choices), .per_item = true};
+}
+
 namespace {
 
-std::string join_names(const std::vector<std::string>& names) {
+std::string join(const std::vector<std::string>& items, const char* sep) {
   std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
+  for (const auto& item : items) {
+    if (!out.empty()) out += sep;
+    out += item;
   }
   return out;
 }
 
+/// A bound as the range text shows it: powers of two from 1024 up as
+/// 2^k, everything else as a table cell.
+std::string bound_text(double v) {
+  int exp = 0;
+  if (v >= 1024.0 && std::frexp(v, &exp) == 0.5) {
+    return "2^" + std::to_string(exp - 1);
+  }
+  return format_number(v);
+}
+
+std::string valid_keys(const Scenario& scenario) {
+  std::vector<std::string> keys;
+  for (const ParamSpec& p : scenario.params) keys.push_back(p.key);
+  return join(keys, ", ");
+}
+
+/// Parses `cfg`'s value for `p` as p's kind and checks it against p's
+/// range; throws ConfigError saying which check failed.
+void check_value(const ParamSpec& p, const Config& cfg) {
+  const ParamRange& r = p.range;
+  const auto out_of_range = [&] {
+    return "Config: value for '" + p.key + "' is out of range: " +
+           cfg.get_string(p.key);
+  };
+  const auto number = [&](double v) {
+    require(std::isfinite(v) && (r.lo_open ? v > r.lo : v >= r.lo) && v <= r.hi,
+            out_of_range);
+  };
+  switch (p.kind) {
+    case ParamSpec::Kind::kInt:
+      number(static_cast<double>(cfg.get_int(p.key)));
+      break;
+    case ParamSpec::Kind::kDouble: number(cfg.get_double(p.key)); break;
+    case ParamSpec::Kind::kBool: (void)cfg.get_bool(p.key); break;
+    case ParamSpec::Kind::kList:
+      for (const double v : cfg.get_list(p.key)) number(v);
+      break;
+    case ParamSpec::Kind::kString: {
+      if (r.choices.empty()) break;
+      const std::string text = cfg.get_string(p.key);
+      const std::vector<std::string> items =
+          r.per_item ? split_csv(text) : std::vector<std::string>{text};
+      require(!items.empty(), out_of_range);
+      for (const std::string& item : items) {
+        require(std::find(r.choices.begin(), r.choices.end(), item) !=
+                    r.choices.end(),
+                out_of_range);
+      }
+      break;
+    }
+  }
+}
+
+/// check_value, rethrown as the InvalidArgument run_scenario documents.
+void check_param(const Scenario& scenario, const ParamSpec& p,
+                 const Config& cfg) {
+  try {
+    check_value(p, cfg);
+  } catch (const ConfigError& e) {
+    throw InvalidArgument("scenario '" + scenario.name + "': bad value for '" +
+                          p.key + "' (expected " + to_string(p.kind) +
+                          ", range " + p.range_text() + "): " + e.what() +
+                          "; valid keys: " + valid_keys(scenario));
+  }
+}
+
 // Terse ParamSpec builders so a registration reads like a manifest.
-ParamSpec p_int(std::string key, std::string def, std::string range,
+ParamSpec p_int(std::string key, std::string def, ParamRange range,
                 std::string doc) {
   return {std::move(key), ParamSpec::Kind::kInt, std::move(def),
           std::move(range), std::move(doc)};
 }
-ParamSpec p_dbl(std::string key, std::string def, std::string range,
+ParamSpec p_dbl(std::string key, std::string def, ParamRange range,
                 std::string doc) {
   return {std::move(key), ParamSpec::Kind::kDouble, std::move(def),
           std::move(range), std::move(doc)};
 }
 ParamSpec p_bool(std::string key, std::string def, std::string doc) {
-  return {std::move(key), ParamSpec::Kind::kBool, std::move(def), "0|1",
+  return {std::move(key), ParamSpec::Kind::kBool, std::move(def), {},
           std::move(doc)};
 }
-ParamSpec p_str(std::string key, std::string def, std::string range,
+ParamSpec p_str(std::string key, std::string def, ParamRange range,
                 std::string doc) {
   return {std::move(key), ParamSpec::Kind::kString, std::move(def),
           std::move(range), std::move(doc)};
 }
-ParamSpec p_list(std::string key, std::string def, std::string range,
+ParamSpec p_list(std::string key, std::string def, ParamRange range,
                  std::string doc) {
   return {std::move(key), ParamSpec::Kind::kList, std::move(def),
           std::move(range), std::move(doc)};
 }
 
-ParamSpec p_seed() { return p_int("seed", "1", ">= 0", "base RNG seed"); }
+// Every int64 is a valid seed: run_replication renders SplitMix64 seeds
+// past INT64_MAX as negative.
+ParamSpec p_seed(std::string def = "1") {
+  return p_int("seed", std::move(def), {}, "base RNG seed");
+}
 ParamSpec p_reps() {
-  return p_int("reps", "1", ">= 1",
+  return p_int("reps", "1", at_least(1),
                "seed-streamed replications; > 1 adds mean ± CI columns");
 }
 ParamSpec p_threads() {
-  return p_int("threads", "0", ">= 0",
+  return p_int("threads", "0", at_least(0),
                "SweepRunner fan-out; 0 = one thread per core");
 }
 
 // The memory-seam knobs, shared by every scenario that runs the seam
 // (the memory-side mirror of the network/contention parameters).
 ParamSpec p_memory() {
-  return p_str("memory", "analytic", "analytic|banked",
+  return p_str("memory", "analytic", one_of({"analytic", "banked"}),
                "memory model behind the MemorySystem seam");
 }
 ParamSpec p_mem_banks() {
-  return p_int("mem_banks", "0", ">= 0",
+  return p_int("mem_banks", "0", at_least(0),
                "banked memory: DRAM banks (0 = one per node)");
 }
 ParamSpec p_mem_queue() {
-  return p_int("mem_queue", "0", ">= 0",
+  return p_int("mem_queue", "0", at_least(0),
                "banked memory: shared access ports (0 = one per bank)");
 }
 
+/// Reads the three memory-seam knobs into a backend's fields.
+void read_memory_knobs(const Config& cfg, std::string& kind,
+                       std::size_t& banks, std::size_t& queue) {
+  kind = cfg.get_string("memory");
+  banks = static_cast<std::size_t>(cfg.get_int("mem_banks"));
+  queue = static_cast<std::size_t>(cfg.get_int("mem_queue"));
+}
+
+std::vector<std::string> networks() { return {"flat", "ring", "mesh2d", "torus"}; }
+
+/// The knobs fig11 and fig12 both pass straight to the parcel systems:
+/// seed, topology, message size and the memory seam.
+void read_parcel_knobs(const Config& cfg, parcel::SplitTransactionParams& p) {
+  p.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
+  p.network = cfg.get_string("network");
+  p.contention = cfg.get_bool("contention");
+  p.message_bytes = static_cast<std::size_t>(cfg.get_int("bytes"));
+  read_memory_knobs(cfg, p.memory, p.mem_banks, p.mem_queue);
+}
+
+std::vector<std::size_t> as_sizes(const std::vector<double>& values) {
+  std::vector<std::size_t> out;
+  out.reserve(values.size());
+  for (const double v : values) out.push_back(static_cast<std::size_t>(v));
+  return out;
+}
+
+/// The Table 1 knobs table1 and fig7 share, after the scenario's own
+/// leading parameter.
+std::vector<ParamSpec> table1_knobs(ParamSpec first) {
+  return {std::move(first),
+          p_dbl("tlcycle", "5", above(0), "LWP cycle time (HWP cycles)"),
+          p_dbl("tmh", "90", above(0), "host memory access time (cycles)"),
+          p_dbl("tch", "2", above(0), "host cache access time (cycles)"),
+          p_dbl("tml", "30", above(0), "LWP row access time (cycles)"),
+          p_dbl("pmiss", "0.1", between(0, 1), "host cache miss probability"),
+          p_dbl("mix", "0.3", between(0, 1), "load/store fraction of the op mix")};
+}
+
+/// The host of the bank-conflict and memory-contention studies: all work
+/// on the LWP array.
+arch::HostConfig all_lwp_host(const Config& cfg) {
+  arch::HostConfig base;
+  base.workload.total_ops = static_cast<std::uint64_t>(cfg.get_int("ops"));
+  base.workload.lwp_fraction = 1.0;
+  base.lwp_nodes = static_cast<std::size_t>(cfg.get_int("nodes"));
+  base.batch_ops = 10'000;
+  base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
+  return base;
+}
+
+/// SystemParams with the table1_knobs values from `cfg`.
+arch::SystemParams table1_params(const Config& cfg) {
+  arch::SystemParams params = arch::SystemParams::table1();
+  params.tl_cycle = cfg.get_double("tlcycle");
+  params.t_mh = cfg.get_double("tmh");
+  params.t_ch = cfg.get_double("tch");
+  params.t_ml = cfg.get_double("tml");
+  params.p_miss = cfg.get_double("pmiss");
+  params.ls_mix = cfg.get_double("mix");
+  return params;
+}
+
+/// Figures 5 and 6: events scale with batches per run x node-axis length
+/// x reps.
+double host_figure_cost(const Config& cfg) {
+  const double ops = static_cast<double>(cfg.get_int("ops"));
+  const double batch = std::max(1.0, static_cast<double>(cfg.get_int("batch")));
+  const double reps = static_cast<double>(cfg.get_int("reps"));
+  const double axis =
+      std::log2(static_cast<double>(cfg.get_int("maxnodes"))) + 1.0;
+  return reps * axis * ops / batch;
+}
+
 }  // namespace
+
+std::string ParamSpec::range_text() const {
+  if (kind == Kind::kBool) return "0|1";
+  if (!range.choices.empty()) {
+    return (range.per_item ? "comma list of " : "") + join(range.choices, "|");
+  }
+  const bool has_lo = std::isfinite(range.lo);
+  const bool has_hi = std::isfinite(range.hi);
+  const std::string lo = bound_text(range.lo);
+  const std::string hi = bound_text(range.hi);
+  if (has_lo && has_hi) {
+    if (kind == Kind::kInt && !range.lo_open) return lo + ".." + hi;
+    return (range.lo_open ? "(" : "[") + lo + ", " + hi + "]";
+  }
+  if (has_lo) return (range.lo_open ? "> " : ">= ") + lo;
+  if (has_hi) return "<= " + hi;
+  return "any";
+}
+
+const ParamSpec* Scenario::param(const std::string& key) const {
+  for (const ParamSpec& p : params) {
+    if (p.key == key) return &p;
+  }
+  return nullptr;
+}
 
 void ScenarioRegistry::add(Scenario scenario) {
   if (scenario.name.empty()) {
@@ -114,6 +293,28 @@ void ScenarioRegistry::add(Scenario scenario) {
     throw InvalidArgument("ScenarioRegistry: duplicate scenario name '" +
                           scenario.name + "'");
   }
+  Config declared;
+  for (const ParamSpec& p : scenario.params) declared.set(p.key, p.default_value);
+  for (const ParamSpec& p : scenario.params) {
+    try {
+      check_param(scenario, p, declared);
+    } catch (const InvalidArgument& e) {
+      throw InvalidArgument(std::string("ScenarioRegistry: bad default: ") +
+                            e.what());
+    }
+  }
+  if (scenario.cost_hint) {
+    // Shard planners pass each point's config as written; the hint reads
+    // every knob without a fallback, as the generator does.
+    scenario.cost_hint = [hint = std::move(scenario.cost_hint),
+                          params = scenario.params](const Config& cfg) {
+      Config resolved = cfg;
+      for (const ParamSpec& p : params) {
+        if (!cfg.has(p.key)) resolved.set(p.key, p.default_value);
+      }
+      return hint(resolved);
+    };
+  }
   scenarios_.emplace(scenario.name, std::move(scenario));
 }
 
@@ -125,7 +326,7 @@ const Scenario& ScenarioRegistry::get(const std::string& name) const {
   const auto it = scenarios_.find(name);
   if (it == scenarios_.end()) {
     throw InvalidArgument("unknown scenario '" + name +
-                          "'; registered scenarios: " + join_names(names()));
+                          "'; registered scenarios: " + join(names(), ", "));
   }
   return it->second;
 }
@@ -159,41 +360,27 @@ ScenarioRegistry& ScenarioRegistry::global() {
 
 Table run_scenario(const Scenario& scenario, const Config& cfg,
                    const std::vector<std::string>& extra_allowed) {
-  std::vector<std::string> valid;
-  valid.reserve(scenario.params.size());
-  for (const ParamSpec& p : scenario.params) valid.push_back(p.key);
-
   // No key has been read yet, so unused_keys() is every provided key.
   for (const std::string& key : cfg.unused_keys()) {
-    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
-    if (std::find(extra_allowed.begin(), extra_allowed.end(), key) !=
-        extra_allowed.end()) {
+    if (scenario.param(key) != nullptr ||
+        std::find(extra_allowed.begin(), extra_allowed.end(), key) !=
+            extra_allowed.end()) {
       continue;
     }
     throw InvalidArgument("scenario '" + scenario.name +
                           "': unknown parameter '" + key +
-                          "'; valid keys: " + join_names(valid));
+                          "'; valid keys: " + valid_keys(scenario));
   }
 
-  // Pre-parse every provided value as its declared type so a typo fails
-  // before a potentially long generation run, with the key list attached.
+  // One pass over the declared parameters: check every provided value
+  // against its kind and range, so a bad one fails before a potentially
+  // long generation run, and fill every omitted key from its default.
+  Config resolved = cfg;
   for (const ParamSpec& p : scenario.params) {
-    if (!cfg.has(p.key)) continue;
-    try {
-      switch (p.kind) {
-        case ParamSpec::Kind::kInt: (void)cfg.get_int(p.key, 0); break;
-        case ParamSpec::Kind::kDouble: (void)cfg.get_double(p.key, 0.0); break;
-        case ParamSpec::Kind::kBool: (void)cfg.get_bool(p.key, false); break;
-        case ParamSpec::Kind::kString: (void)cfg.get_string(p.key, ""); break;
-        case ParamSpec::Kind::kList: (void)cfg.get_list(p.key, {}); break;
-      }
-    } catch (const ConfigError& e) {
-      throw InvalidArgument("scenario '" + scenario.name +
-                            "': bad value for '" + p.key + "' (expected " +
-                            std::string(to_string(p.kind)) +
-                            (p.range.empty() ? "" : ", range " + p.range) +
-                            "): " + e.what() +
-                            "; valid keys: " + join_names(valid));
+    if (resolved.has(p.key)) {
+      check_param(scenario, p, resolved);
+    } else {
+      resolved.set(p.key, p.default_value);
     }
   }
 
@@ -201,8 +388,8 @@ Table run_scenario(const Scenario& scenario, const Config& cfg,
   // seed-streamed replications folded into mean ± half-width columns.
   // reps=1 bypasses the fold, keeping single-run output bitwise
   // identical to the pre-engine path.
-  const ReplicationSpec spec = replication_spec(scenario, cfg);
-  if (!spec.declared || spec.reps == 1) return scenario.make(cfg);
+  const ReplicationSpec spec = replication_spec(scenario, resolved);
+  if (!spec.declared || spec.reps == 1) return scenario.make(resolved);
   std::vector<Table> tables;
   tables.reserve(spec.reps);
   for (std::size_t r = 0; r < spec.reps; ++r) {
@@ -213,26 +400,17 @@ Table run_scenario(const Scenario& scenario, const Config& cfg,
 
 ReplicationSpec replication_spec(const Scenario& scenario, const Config& cfg) {
   ReplicationSpec spec;
-  const ParamSpec* reps_param = nullptr;
-  const ParamSpec* seed_param = nullptr;
-  for (const ParamSpec& p : scenario.params) {
-    if (p.key == "reps") reps_param = &p;
-    if (p.key == "seed") seed_param = &p;
-  }
-  if (reps_param == nullptr) return spec;
+  const ParamSpec* reps = scenario.param("reps");
+  if (reps == nullptr) return spec;
   spec.declared = true;
-  const std::int64_t reps =
-      cfg.get_int("reps", std::stoll(reps_param->default_value));
-  if (reps < 1) {
-    throw InvalidArgument(
-        "scenario '" + scenario.name + "': bad value for 'reps' (" +
-        std::to_string(reps) + "): expected int >= 1 replications");
-  }
-  spec.reps = static_cast<std::size_t>(reps);
-  const std::int64_t seed_default =
-      seed_param == nullptr ? 0 : std::stoll(seed_param->default_value);
-  spec.base_seed =
-      static_cast<std::uint64_t>(cfg.get_int("seed", seed_default));
+  const auto value = [&](const ParamSpec& p) {
+    if (!cfg.has(p.key)) return std::stoll(p.default_value);
+    check_param(scenario, p, cfg);
+    return static_cast<long long>(cfg.get_int(p.key));
+  };
+  spec.reps = static_cast<std::size_t>(value(*reps));
+  const ParamSpec* seed = scenario.param("seed");
+  spec.base_seed = seed == nullptr ? 0 : static_cast<std::uint64_t>(value(*seed));
   return spec;
 }
 
@@ -294,16 +472,12 @@ des::Process hotspot_source(des::Simulation& sim,
 }
 
 Table make_hotspot_table(const Config& cfg) {
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 16));
-  require(nodes >= 2, "hotspot: nodes must be >= 2 (node 0 is the sink)");
-  const double round_trip = cfg.get_double("roundtrip", 200.0);
-  const auto bytes = static_cast<std::size_t>(cfg.get_int("bytes", 16));
-  const std::int64_t packets = cfg.get_int("packets", 200);
-  const std::vector<double> gaps =
-      cfg.get_list("gaps", {4096.0, 256.0, 32.0, 8.0, 4.0});
-  const std::vector<std::string> kinds =
-      split_csv(cfg.get_string("networks", "flat,mesh2d,torus"));
-  require(!kinds.empty(), "hotspot: networks list is empty");
+  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes"));
+  const double round_trip = cfg.get_double("roundtrip");
+  const auto bytes = static_cast<std::size_t>(cfg.get_int("bytes"));
+  const std::int64_t packets = cfg.get_int("packets");
+  const std::vector<double> gaps = cfg.get_list("gaps");
+  const std::vector<std::string> kinds = split_csv(cfg.get_string("networks"));
 
   Table table("Hotspot collapse: analytic vs packet-level latency to node 0",
               {"Network", "inj gap", "analytic mean", "measured mean", "p95",
@@ -351,22 +525,10 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "table1",
       "Table 1 parametric assumptions, derived per-op costs, and NB",
       "Section 3, Table 1",
-      {p_dbl("thcycle", "1", "> 0", "HWP cycle time (ns)"),
-       p_dbl("tlcycle", "5", "> 0", "LWP cycle time (HWP cycles)"),
-       p_dbl("tmh", "90", "> 0", "host memory access time (cycles)"),
-       p_dbl("tch", "2", "> 0", "host cache access time (cycles)"),
-       p_dbl("tml", "22", "> 0", "LWP row access time (cycles)"),
-       p_dbl("pmiss", "0.1", "[0, 1]", "host cache miss probability"),
-       p_dbl("mix", "0.3", "[0, 1]", "load/store fraction of the op mix")},
+      table1_knobs(p_dbl("thcycle", "1", above(0), "HWP cycle time (ns)")),
       [](const Config& cfg) {
-        arch::SystemParams params = arch::SystemParams::table1();
-        params.th_cycle_ns = cfg.get_double("thcycle", params.th_cycle_ns);
-        params.tl_cycle = cfg.get_double("tlcycle", params.tl_cycle);
-        params.t_mh = cfg.get_double("tmh", params.t_mh);
-        params.t_ch = cfg.get_double("tch", params.t_ch);
-        params.t_ml = cfg.get_double("tml", params.t_ml);
-        params.p_miss = cfg.get_double("pmiss", params.p_miss);
-        params.ls_mix = cfg.get_double("mix", params.ls_mix);
+        arch::SystemParams params = table1_params(cfg);
+        params.th_cycle_ns = cfg.get_double("thcycle");
         return make_table1(params);
       },
       /*verify_params=*/"",
@@ -388,102 +550,67 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "fig5",
       "simulated performance gain vs %WL, one column per node count",
       "Section 3.1, Figure 5",
-      {p_int("maxnodes", "256", "1..2^20", "largest node count (pow2 axis)"),
-       p_int("ops", "100000000", "> 0", "workload operations per run"),
-       p_int("batch", "1000000", "> 0", "binomial batching granularity"),
+      {p_int("maxnodes", "256", between(1, 1 << 20),
+             "largest node count (pow2 axis)"),
+       p_int("ops", "100000000", above(0), "workload operations per run"),
+       p_int("batch", "1000000", above(0), "binomial batching granularity"),
        p_reps(), p_memory(), p_mem_banks(), p_mem_queue(), p_seed(),
        p_threads()},
       [](const Config& cfg) {
         HostFigureConfig fig = HostFigureConfig::defaults_fig5();
-        fig.node_counts = pow2_range(
-            static_cast<std::size_t>(cfg.get_int("maxnodes", 256)));
+        fig.node_counts =
+            pow2_range(static_cast<std::size_t>(cfg.get_int("maxnodes")));
         fig.base.workload.total_ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 100'000'000));
-        fig.base.batch_ops =
-            static_cast<std::uint64_t>(cfg.get_int("batch", 1'000'000));
-        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-        fig.base.memory.kind = cfg.get_string("memory", "analytic");
-        fig.base.memory.banks =
-            static_cast<std::size_t>(cfg.get_int("mem_banks", 0));
-        fig.base.memory.queue =
-            static_cast<std::size_t>(cfg.get_int("mem_queue", 0));
-        fig.sweep_threads =
-            static_cast<std::size_t>(cfg.get_int("threads", 0));
+            static_cast<std::uint64_t>(cfg.get_int("ops"));
+        fig.base.batch_ops = static_cast<std::uint64_t>(cfg.get_int("batch"));
+        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
+        read_memory_knobs(cfg, fig.base.memory.kind, fig.base.memory.banks,
+                          fig.base.memory.queue);
+        fig.sweep_threads = static_cast<std::size_t>(cfg.get_int("threads"));
         return make_fig5(fig);
       },
       /*verify_params=*/"maxnodes=8 ops=200000 batch=10000 reps=2",
       /*verify_fingerprint=*/0x26b4ab384a94edeaull,
-      // Events scale with batches per run x node-axis length x reps.
-      /*cost_hint=*/
-      [](const Config& cfg) {
-        const double ops = static_cast<double>(cfg.get_int("ops", 100'000'000));
-        const double batch =
-            std::max(1.0, static_cast<double>(cfg.get_int("batch", 1'000'000)));
-        const double reps = static_cast<double>(cfg.get_int("reps", 1));
-        const double axis =
-            std::log2(static_cast<double>(cfg.get_int("maxnodes", 256))) + 1.0;
-        return reps * axis * ops / batch;
-      },
+      /*cost_hint=*/host_figure_cost,
   });
 
   registry.add(Scenario{
       "fig6",
       "unnormalized response time (ns) vs node count, one column per %LWT",
       "Section 3.1, Figure 6",
-      {p_int("maxnodes", "64", "1..2^20", "largest node count (pow2 axis)"),
-       p_int("ops", "100000000", "> 0", "workload operations per run"),
-       p_int("batch", "1000000", "> 0", "binomial batching granularity"),
+      {p_int("maxnodes", "64", between(1, 1 << 20),
+             "largest node count (pow2 axis)"),
+       p_int("ops", "100000000", above(0), "workload operations per run"),
+       p_int("batch", "1000000", above(0), "binomial batching granularity"),
        p_reps(), p_seed(), p_threads()},
       [](const Config& cfg) {
         HostFigureConfig fig = HostFigureConfig::defaults_fig6();
-        fig.node_counts = pow2_range(
-            static_cast<std::size_t>(cfg.get_int("maxnodes", 64)));
+        fig.node_counts =
+            pow2_range(static_cast<std::size_t>(cfg.get_int("maxnodes")));
         fig.base.workload.total_ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 100'000'000));
-        fig.base.batch_ops =
-            static_cast<std::uint64_t>(cfg.get_int("batch", 1'000'000));
-        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-        fig.sweep_threads =
-            static_cast<std::size_t>(cfg.get_int("threads", 0));
+            static_cast<std::uint64_t>(cfg.get_int("ops"));
+        fig.base.batch_ops = static_cast<std::uint64_t>(cfg.get_int("batch"));
+        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
+        fig.sweep_threads = static_cast<std::size_t>(cfg.get_int("threads"));
         return make_fig6(fig);
       },
       /*verify_params=*/"maxnodes=8 ops=200000 batch=10000 reps=1",
       /*verify_fingerprint=*/0xcfcc608e61d7733eull,
-      /*cost_hint=*/
-      [](const Config& cfg) {
-        const double ops = static_cast<double>(cfg.get_int("ops", 100'000'000));
-        const double batch =
-            std::max(1.0, static_cast<double>(cfg.get_int("batch", 1'000'000)));
-        const double reps = static_cast<double>(cfg.get_int("reps", 1));
-        const double axis =
-            std::log2(static_cast<double>(cfg.get_int("maxnodes", 64))) + 1.0;
-        return reps * axis * ops / batch;
-      },
+      /*cost_hint=*/host_figure_cost,
   });
 
   registry.add(Scenario{
       "fig7",
       "analytic Time_relative vs node count; curves coincide at N = NB",
       "Section 3.2, Figure 7",
-      {p_dbl("maxnodes", "64", ">= 1", "largest node count (x1.25 axis)"),
-       p_dbl("tlcycle", "5", "> 0", "LWP cycle time (HWP cycles)"),
-       p_dbl("tmh", "90", "> 0", "host memory access time (cycles)"),
-       p_dbl("tch", "2", "> 0", "host cache access time (cycles)"),
-       p_dbl("tml", "22", "> 0", "LWP row access time (cycles)"),
-       p_dbl("pmiss", "0.1", "[0, 1]", "host cache miss probability"),
-       p_dbl("mix", "0.3", "[0, 1]", "load/store fraction of the op mix")},
+      table1_knobs(p_dbl("maxnodes", "64", at_least(1),
+                         "largest node count (x1.25 axis)")),
       [](const Config& cfg) {
-        arch::SystemParams params = arch::SystemParams::table1();
-        params.tl_cycle = cfg.get_double("tlcycle", params.tl_cycle);
-        params.t_mh = cfg.get_double("tmh", params.t_mh);
-        params.t_ch = cfg.get_double("tch", params.t_ch);
-        params.t_ml = cfg.get_double("tml", params.t_ml);
-        params.p_miss = cfg.get_double("pmiss", params.p_miss);
-        params.ls_mix = cfg.get_double("mix", params.ls_mix);
+        const arch::SystemParams params = table1_params(cfg);
         // Dense N axis (including the fractional neighborhood of NB) so
         // the coincidence point is visible in the plotted series.
         std::vector<double> nodes;
-        const double max_nodes = cfg.get_double("maxnodes", 64.0);
+        const double max_nodes = cfg.get_double("maxnodes");
         for (double n = 1.0; n <= max_nodes; n *= 1.25) nodes.push_back(n);
         nodes.push_back(params.nb());  // the crossover itself
         std::sort(nodes.begin(), nodes.end());
@@ -497,19 +624,19 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "accuracy",
       "Section 3.1.2 claim: sim-vs-analytic relative error grid and band",
       "Section 3.1.2",
-      {p_int("ops", "10000000", "> 0", "workload operations per run"),
-       p_int("batch", "100000", "> 0", "binomial batching granularity"),
-       p_int("maxnodes", "64", "1..2^20", "largest node count (pow2 axis)"),
+      {p_int("ops", "10000000", above(0), "workload operations per run"),
+       p_int("batch", "100000", above(0), "binomial batching granularity"),
+       p_int("maxnodes", "64", between(1, 1 << 20),
+             "largest node count (pow2 axis)"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
         HostFigureConfig fig;
         fig.base.workload.total_ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 10'000'000));
-        fig.base.batch_ops =
-            static_cast<std::uint64_t>(cfg.get_int("batch", 100'000));
-        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-        fig.node_counts = pow2_range(
-            static_cast<std::size_t>(cfg.get_int("maxnodes", 64)));
+            static_cast<std::uint64_t>(cfg.get_int("ops"));
+        fig.base.batch_ops = static_cast<std::uint64_t>(cfg.get_int("batch"));
+        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
+        fig.node_counts =
+            pow2_range(static_cast<std::size_t>(cfg.get_int("maxnodes")));
         fig.lwp_fractions = {0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
         const auto entries = analytic::compare_grid(fig.base, fig.node_counts,
                                                     fig.lwp_fractions);
@@ -528,48 +655,32 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "fig11",
       "parcel latency hiding: work ratio vs latency, per parallelism/remote%",
       "Section 4.2, Figure 11",
-      {p_int("nodes", "8", ">= 1", "system size (grid kinds need squares)"),
-       p_dbl("horizon", "30000", "> 0", "simulated cycles per run"),
-       p_dbl("tswitch", "2", ">= 0", "parcel context-switch cost (cycles)"),
-       p_dbl("tlocal", "10", "> 0", "local memory access time (cycles)"),
-       p_str("network", "flat", "flat|ring|mesh2d|torus", "topology"),
+      {p_int("nodes", "8", at_least(1), "system size (grid kinds need squares)"),
+       p_dbl("horizon", "30000", above(0), "simulated cycles per run"),
+       p_dbl("tswitch", "2", at_least(0), "parcel context-switch cost (cycles)"),
+       p_dbl("tlocal", "10", above(0), "local memory access time (cycles)"),
+       p_str("network", "flat", one_of(networks()), "topology"),
        p_bool("contention", "0", "packet-level network instead of analytic"),
-       p_int("bytes", "16", ">= 1", "request/reply wire size (flit count)"),
-       p_list("latencies", "10,50,100,200,500,1000,2000", "> 0",
+       p_int("bytes", "16", at_least(1), "request/reply wire size (flit count)"),
+       p_list("latencies", "10,50,100,200,500,1000,2000", above(0),
               "system-wide round-trip latency axis L"),
-       p_list("remotes", "0.02,0.05,0.1,0.2,0.5", "[0, 1]",
+       p_list("remotes", "0.02,0.05,0.1,0.2,0.5", between(0, 1),
               "remote-access fraction curve family"),
-       p_list("pars", "1,2,4,8,16,32", ">= 1",
+       p_list("pars", "1,2,4,8,16,32", at_least(1),
               "degree-of-parallelism groups"),
        p_reps(), p_memory(), p_mem_banks(), p_mem_queue(), p_seed(),
        p_threads()},
       [](const Config& cfg) {
         ParcelFigureConfig fig = ParcelFigureConfig::defaults_fig11();
-        fig.base.nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-        fig.base.horizon = cfg.get_double("horizon", 30'000.0);
-        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-        fig.base.t_switch = cfg.get_double("tswitch", fig.base.t_switch);
-        fig.base.t_local = cfg.get_double("tlocal", fig.base.t_local);
-        fig.base.network = cfg.get_string("network", fig.base.network);
-        fig.base.contention = cfg.get_bool("contention", false);
-        fig.base.memory = cfg.get_string("memory", "analytic");
-        fig.base.mem_banks =
-            static_cast<std::size_t>(cfg.get_int("mem_banks", 0));
-        fig.base.mem_queue =
-            static_cast<std::size_t>(cfg.get_int("mem_queue", 0));
-        fig.base.message_bytes = static_cast<std::size_t>(cfg.get_int(
-            "bytes", static_cast<std::int64_t>(fig.base.message_bytes)));
-        fig.latencies =
-            cfg.get_list("latencies", {10, 50, 100, 200, 500, 1000, 2000});
-        fig.remote_fractions =
-            cfg.get_list("remotes", {0.02, 0.05, 0.10, 0.20, 0.50});
-        std::vector<std::size_t> pars;
-        for (double p : cfg.get_list("pars", {1, 2, 4, 8, 16, 32})) {
-          pars.push_back(static_cast<std::size_t>(p));
-        }
-        fig.parallelism = pars;
-        fig.sweep_threads =
-            static_cast<std::size_t>(cfg.get_int("threads", 0));
+        fig.base.nodes = static_cast<std::size_t>(cfg.get_int("nodes"));
+        fig.base.horizon = cfg.get_double("horizon");
+        fig.base.t_switch = cfg.get_double("tswitch");
+        fig.base.t_local = cfg.get_double("tlocal");
+        read_parcel_knobs(cfg, fig.base);
+        fig.latencies = cfg.get_list("latencies");
+        fig.remote_fractions = cfg.get_list("remotes");
+        fig.parallelism = as_sizes(cfg.get_list("pars"));
+        fig.sweep_threads = static_cast<std::size_t>(cfg.get_int("threads"));
         return make_fig11(fig);
       },
       /*verify_params=*/
@@ -579,14 +690,13 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       // packet-level network multiplies per-parcel event volume.
       /*cost_hint=*/
       [](const Config& cfg) {
-        const double horizon = cfg.get_double("horizon", 30'000.0);
-        const double nodes = static_cast<double>(cfg.get_int("nodes", 8));
-        const auto lat =
-            cfg.get_list("latencies", {10, 50, 100, 200, 500, 1000, 2000});
-        const auto rem = cfg.get_list("remotes", {0.02, 0.05, 0.1, 0.2, 0.5});
+        const double horizon = cfg.get_double("horizon");
+        const double nodes = static_cast<double>(cfg.get_int("nodes"));
+        const auto lat = cfg.get_list("latencies");
+        const auto rem = cfg.get_list("remotes");
         double pars = 0.0;
-        for (double p : cfg.get_list("pars", {1, 2, 4, 8, 16, 32})) pars += p;
-        const double net = cfg.get_bool("contention", false) ? 3.0 : 1.0;
+        for (double p : cfg.get_list("pars")) pars += p;
+        const double net = cfg.get_bool("contention") ? 3.0 : 1.0;
         return horizon * nodes * net * static_cast<double>(lat.size()) *
                static_cast<double>(rem.size()) * pars;
       },
@@ -596,45 +706,27 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "fig12",
       "idle fraction of both systems vs parallelism, grouped by system size",
       "Section 4.2, Figure 12",
-      {p_dbl("horizon", "20000", "> 0", "simulated cycles per run"),
-       p_dbl("latency", "200", "> 0", "system-wide round-trip latency L"),
-       p_dbl("premote", "0.1", "[0, 1]", "remote-access fraction"),
-       p_str("network", "flat", "flat|ring|mesh2d|torus", "topology"),
+      {p_dbl("horizon", "20000", above(0), "simulated cycles per run"),
+       p_dbl("latency", "200", above(0), "system-wide round-trip latency L"),
+       p_dbl("premote", "0.1", between(0, 1), "remote-access fraction"),
+       p_str("network", "flat", one_of(networks()), "topology"),
        p_bool("contention", "0", "packet-level network instead of analytic"),
-       p_int("bytes", "16", ">= 1", "request/reply wire size (flit count)"),
-       p_list("sizes", "1,2,4,8,16,32,64,128,256", ">= 1",
+       p_int("bytes", "16", at_least(1), "request/reply wire size (flit count)"),
+       p_list("sizes", "1,2,4,8,16,32,64,128,256", at_least(1),
               "system-size panels"),
-       p_list("pars", "1,2,4,8,16,32", ">= 1", "degree-of-parallelism axis"),
+       p_list("pars", "1,2,4,8,16,32", at_least(1),
+              "degree-of-parallelism axis"),
        p_reps(), p_memory(), p_mem_banks(), p_mem_queue(), p_seed(),
        p_threads()},
       [](const Config& cfg) {
         ParcelFigureConfig fig = ParcelFigureConfig::defaults_fig12();
-        fig.base.horizon = cfg.get_double("horizon", 20'000.0);
-        fig.base.round_trip_latency = cfg.get_double("latency", 200.0);
-        fig.base.p_remote = cfg.get_double("premote", 0.1);
-        fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-        fig.base.network = cfg.get_string("network", fig.base.network);
-        fig.base.contention = cfg.get_bool("contention", false);
-        fig.base.memory = cfg.get_string("memory", "analytic");
-        fig.base.mem_banks =
-            static_cast<std::size_t>(cfg.get_int("mem_banks", 0));
-        fig.base.mem_queue =
-            static_cast<std::size_t>(cfg.get_int("mem_queue", 0));
-        fig.base.message_bytes = static_cast<std::size_t>(cfg.get_int(
-            "bytes", static_cast<std::int64_t>(fig.base.message_bytes)));
-        std::vector<std::size_t> sizes;
-        for (double s :
-             cfg.get_list("sizes", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {
-          sizes.push_back(static_cast<std::size_t>(s));
-        }
-        fig.node_counts = sizes;
-        std::vector<std::size_t> pars;
-        for (double p : cfg.get_list("pars", {1, 2, 4, 8, 16, 32})) {
-          pars.push_back(static_cast<std::size_t>(p));
-        }
-        fig.parallelism = pars;
-        fig.sweep_threads =
-            static_cast<std::size_t>(cfg.get_int("threads", 0));
+        fig.base.horizon = cfg.get_double("horizon");
+        fig.base.round_trip_latency = cfg.get_double("latency");
+        fig.base.p_remote = cfg.get_double("premote");
+        read_parcel_knobs(cfg, fig.base);
+        fig.node_counts = as_sizes(cfg.get_list("sizes"));
+        fig.parallelism = as_sizes(cfg.get_list("pars"));
+        fig.sweep_threads = static_cast<std::size_t>(cfg.get_int("threads"));
         return make_fig12(fig);
       },
       /*verify_params=*/"horizon=8000 latency=200 sizes=1,4 pars=1,8",
@@ -642,15 +734,12 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       // Event count ~ horizon x total nodes across size panels x contexts.
       /*cost_hint=*/
       [](const Config& cfg) {
-        const double horizon = cfg.get_double("horizon", 20'000.0);
+        const double horizon = cfg.get_double("horizon");
         double sizes = 0.0;
-        for (double s :
-             cfg.get_list("sizes", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {
-          sizes += s;
-        }
+        for (double s : cfg.get_list("sizes")) sizes += s;
         double pars = 0.0;
-        for (double p : cfg.get_list("pars", {1, 2, 4, 8, 16, 32})) pars += p;
-        const double net = cfg.get_bool("contention", false) ? 3.0 : 1.0;
+        for (double p : cfg.get_list("pars")) pars += p;
+        const double net = cfg.get_bool("contention") ? 3.0 : 1.0;
         return horizon * sizes * pars * net;
       },
   });
@@ -660,16 +749,14 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "multithreading",
       "multithreaded LWP cost/op, NB(K), and speedup vs hardware threads",
       "Section 5.2",
-      {p_dbl("switch", "1", ">= 0", "thread context-switch cost (cycles)"),
-       p_int("ops", "60000", "> 0", "simulated operations per thread count"),
-       p_reps(), p_int("seed", "11", ">= 0", "base RNG seed")},
+      {p_dbl("switch", "1", at_least(0), "thread context-switch cost (cycles)"),
+       p_int("ops", "60000", above(0), "simulated operations per thread count"),
+       p_reps(), p_seed("11")},
       [](const Config& cfg) {
         const arch::SystemParams params = arch::SystemParams::table1();
-        const double switch_cost = cfg.get_double("switch", 1.0);
-        const auto ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 60'000));
-        const auto seed =
-            static_cast<std::uint64_t>(cfg.get_int("seed", 11));
+        const double switch_cost = cfg.get_double("switch");
+        const auto ops = static_cast<std::uint64_t>(cfg.get_int("ops"));
+        const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
         const analytic::MultithreadSpec spec =
             analytic::lwp_thread_spec(params, switch_cost);
         Table t("Multithreading at the PIM node (K_sat = " +
@@ -744,17 +831,11 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "ablation_bank_conflicts",
       "ablation A: cost of the paper's unmodeled-bank-conflicts assumption",
       "Section 3.1 (assumptions)",
-      {p_int("ops", "400000", "> 0", "workload operations per run"),
-       p_int("nodes", "8", ">= 1", "LWP count (one per bank at baseline)"),
+      {p_int("ops", "400000", above(0), "workload operations per run"),
+       p_int("nodes", "8", at_least(1), "LWP count (one per bank at baseline)"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
-        arch::HostConfig base;
-        base.workload.total_ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 400'000));
-        base.workload.lwp_fraction = 1.0;  // all work on the LWP array
-        base.lwp_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-        base.batch_ops = 10'000;
-        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+        const arch::HostConfig base = all_lwp_host(cfg);
         const double batched = arch::run_host_system(base).total_cycles;
         Table t("Ablation A: bank-conflict modeling (100% LWP work, " +
                     std::to_string(base.lwp_nodes) + " LWPs)",
@@ -787,21 +868,15 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "memory_contention",
       "banked-DRAM study: makespan and row-hit rate vs bank count",
       "extension (memory seam)",
-      {p_int("ops", "400000", "> 0", "workload operations per run"),
-       p_int("nodes", "8", ">= 1", "LWP count (100% LWP work)"),
-       p_list("banks", "1,2,4,8", ">= 1", "DRAM bank counts to sweep"),
-       p_int("queue", "0", ">= 0", "shared access ports (0 = one per bank)"),
+      {p_int("ops", "400000", above(0), "workload operations per run"),
+       p_int("nodes", "8", at_least(1), "LWP count (100% LWP work)"),
+       p_list("banks", "1,2,4,8", at_least(1), "DRAM bank counts to sweep"),
+       p_int("queue", "0", at_least(0), "shared access ports (0 = one per bank)"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
-        arch::HostConfig base;
-        base.workload.total_ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 400'000));
-        base.workload.lwp_fraction = 1.0;  // all work on the LWP array
-        base.lwp_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-        base.batch_ops = 10'000;
-        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+        const arch::HostConfig base = all_lwp_host(cfg);
         const double analytic = arch::run_host_system(base).total_cycles;
-        const auto queue = static_cast<std::size_t>(cfg.get_int("queue", 0));
+        const auto queue = static_cast<std::size_t>(cfg.get_int("queue"));
         Table t("Banked-memory contention (100% LWP work, " +
                     std::to_string(base.lwp_nodes) + " LWPs, queue = " +
                     (queue == 0 ? std::string("per-bank")
@@ -809,7 +884,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
                     ")",
                 {"Banks", "makespan (cycles)", "vs analytic", "row-hit %",
                  "accesses"});
-        for (double b : cfg.get_list("banks", {1, 2, 4, 8})) {
+        for (double b : cfg.get_list("banks")) {
           arch::HostConfig cfg2 = base;
           cfg2.memory.kind = "banked";
           cfg2.memory.banks = static_cast<std::size_t>(b);
@@ -826,9 +901,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       // One banked-DES run per bank count, each ~ ops memory events.
       /*cost_hint=*/
       [](const Config& cfg) {
-        const double ops = static_cast<double>(cfg.get_int("ops", 400'000));
-        const double banks =
-            static_cast<double>(cfg.get_list("banks", {1, 2, 4, 8}).size());
+        const double ops = static_cast<double>(cfg.get_int("ops"));
+        const double banks = static_cast<double>(cfg.get_list("banks").size());
         return ops * banks;
       },
   });
@@ -837,23 +911,22 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "ablation_topology",
       "ablation B: Figure 11 slice under ring/mesh/torus vs flat latency",
       "Section 4.1 (assumptions)",
-      {p_int("nodes", "16", ">= 1 (square for grids)", "system size"),
-       p_dbl("horizon", "30000", "> 0", "simulated cycles per run"),
-       p_dbl("latency", "500", "> 0", "calibrated mean round trip (cycles)"),
-       p_dbl("premote", "0.2", "[0, 1]", "remote-access fraction"),
+      {p_int("nodes", "16", at_least(1), "system size (square for grids)"),
+       p_dbl("horizon", "30000", above(0), "simulated cycles per run"),
+       p_dbl("latency", "500", above(0), "calibrated mean round trip (cycles)"),
+       p_dbl("premote", "0.2", between(0, 1), "remote-access fraction"),
        p_bool("contention", "0", "packet-level network instead of analytic"),
-       p_int("msgbytes", "16", ">= 1", "request/reply wire size"),
+       p_int("msgbytes", "16", at_least(1), "request/reply wire size"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
         parcel::SplitTransactionParams base;
-        base.nodes = static_cast<std::size_t>(cfg.get_int("nodes", 16));
-        base.horizon = cfg.get_double("horizon", 30'000.0);
-        base.round_trip_latency = cfg.get_double("latency", 500.0);
-        base.p_remote = cfg.get_double("premote", 0.2);
-        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-        base.contention = cfg.get_bool("contention", false);
-        base.message_bytes =
-            static_cast<std::size_t>(cfg.get_int("msgbytes", 16));
+        base.nodes = static_cast<std::size_t>(cfg.get_int("nodes"));
+        base.horizon = cfg.get_double("horizon");
+        base.round_trip_latency = cfg.get_double("latency");
+        base.p_remote = cfg.get_double("premote");
+        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
+        base.contention = cfg.get_bool("contention");
+        base.message_bytes = static_cast<std::size_t>(cfg.get_int("msgbytes"));
         Table t("Ablation B: topology sensitivity (mean round trip " +
                     format_number(base.round_trip_latency) + " cycles, " +
                     std::to_string(base.nodes) + " nodes, " +
@@ -881,19 +954,18 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "ablation_switch_cost",
       "ablation C: t_switch sweep; ratio reversal when L < 2*t_switch",
       "Section 4.3 (conclusions)",
-      {p_int("nodes", "8", ">= 1", "system size"),
-       p_dbl("horizon", "30000", "> 0", "simulated cycles per run"),
-       p_dbl("premote", "0.2", "[0, 1]", "remote-access fraction"),
-       p_int("parallelism", "16", ">= 1", "parcel contexts per node"),
+      {p_int("nodes", "8", at_least(1), "system size"),
+       p_dbl("horizon", "30000", above(0), "simulated cycles per run"),
+       p_dbl("premote", "0.2", between(0, 1), "remote-access fraction"),
+       p_int("parallelism", "16", at_least(1), "parcel contexts per node"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
         parcel::SplitTransactionParams base;
-        base.nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-        base.horizon = cfg.get_double("horizon", 30'000.0);
-        base.p_remote = cfg.get_double("premote", 0.2);
-        base.parallelism =
-            static_cast<std::size_t>(cfg.get_int("parallelism", 16));
-        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+        base.nodes = static_cast<std::size_t>(cfg.get_int("nodes"));
+        base.horizon = cfg.get_double("horizon");
+        base.p_remote = cfg.get_double("premote");
+        base.parallelism = static_cast<std::size_t>(cfg.get_int("parallelism"));
+        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
         Table t("Ablation C: parcel handling overhead (reversal when L < "
                 "2*t_switch)",
                 {"t_switch", "Latency (cycles)", "work ratio",
@@ -918,16 +990,15 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "ablation_overlap",
       "ablation D: serialized vs overlapped host/PIM execution",
       "Section 3 (Figure 4 flow)",
-      {p_int("ops", "4000000", "> 0", "workload operations per run"),
-       p_dbl("pct", "0.7", "[0, 1]", "lightweight workload fraction %WL"),
+      {p_int("ops", "4000000", above(0), "workload operations per run"),
+       p_dbl("pct", "0.7", between(0, 1), "lightweight workload fraction %WL"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
         arch::HostConfig base;
-        base.workload.total_ops =
-            static_cast<std::uint64_t>(cfg.get_int("ops", 4'000'000));
-        base.workload.lwp_fraction = cfg.get_double("pct", 0.7);
+        base.workload.total_ops = static_cast<std::uint64_t>(cfg.get_int("ops"));
+        base.workload.lwp_fraction = cfg.get_double("pct");
         base.batch_ops = 50'000;
-        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
         const double pct = base.workload.lwp_fraction;
         const arch::SystemParams& params = base.params;
         Table t("Ablation D: serialized vs overlapped host/PIM execution "
@@ -960,18 +1031,18 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "ablation_bandwidth",
       "ablation E: NIC injection bandwidth bound on latency hiding",
       "Section 4.1 (assumptions)",
-      {p_int("nodes", "8", ">= 1", "system size"),
-       p_dbl("horizon", "30000", "> 0", "simulated cycles per run"),
-       p_dbl("latency", "500", "> 0", "system-wide round trip (cycles)"),
-       p_dbl("premote", "0.2", "[0, 1]", "remote-access fraction"),
+      {p_int("nodes", "8", at_least(1), "system size"),
+       p_dbl("horizon", "30000", above(0), "simulated cycles per run"),
+       p_dbl("latency", "500", above(0), "system-wide round trip (cycles)"),
+       p_dbl("premote", "0.2", between(0, 1), "remote-access fraction"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
         parcel::SplitTransactionParams base;
-        base.nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-        base.horizon = cfg.get_double("horizon", 30'000.0);
-        base.round_trip_latency = cfg.get_double("latency", 500.0);
-        base.p_remote = cfg.get_double("premote", 0.2);
-        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+        base.nodes = static_cast<std::size_t>(cfg.get_int("nodes"));
+        base.horizon = cfg.get_double("horizon");
+        base.round_trip_latency = cfg.get_double("latency");
+        base.p_remote = cfg.get_double("premote");
+        base.seed = static_cast<std::uint64_t>(cfg.get_int("seed"));
         Table t("Ablation E: injection bandwidth (L = " +
                     format_number(base.round_trip_latency) + ", " +
                     format_number(base.p_remote * 100.0) + "% remote)",
@@ -1004,26 +1075,26 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "hotspot",
       "all-to-one traffic: analytic vs packet-level latency collapse",
       "Section 4.1 (assumptions; interconnect study)",
-      {p_int("nodes", "16", ">= 2 (square for grids)", "system size"),
-       p_dbl("roundtrip", "200", "> 0", "calibrated mean round trip"),
-       p_int("bytes", "16", ">= 1", "parcel wire size (one flit = 16)"),
-       p_int("packets", "200", ">= 1", "packets per source node"),
-       p_list("gaps", "4096,256,32,8,4", "> 0",
+      {p_int("nodes", "16", at_least(2),
+             "system size (node 0 is the sink; square for grids)"),
+       p_dbl("roundtrip", "200", above(0), "calibrated mean round trip"),
+       p_int("bytes", "16", at_least(1), "parcel wire size (one flit = 16)"),
+       p_int("packets", "200", at_least(1), "packets per source node"),
+       p_list("gaps", "4096,256,32,8,4", above(0),
               "injection gaps, trickle to flood (cycles)"),
-       p_str("networks", "flat,mesh2d,torus",
-             "comma list of flat|ring|mesh2d|torus", "topologies to run")},
+       p_str("networks", "flat,mesh2d,torus", list_of(networks()),
+             "topologies to run")},
       make_hotspot_table,
       /*verify_params=*/"packets=50 gaps=4096,32",
       /*verify_fingerprint=*/0x111ea3ac7cdfe0f6ull,
       // Packet-level runs: sources x packets per (gap, network) cell.
       /*cost_hint=*/
       [](const Config& cfg) {
-        const double nodes = static_cast<double>(cfg.get_int("nodes", 16));
-        const double packets = static_cast<double>(cfg.get_int("packets", 200));
-        const double gaps = static_cast<double>(
-            cfg.get_list("gaps", {4096, 256, 32, 8, 4}).size());
-        const double nets = static_cast<double>(
-            split_csv(cfg.get_string("networks", "flat,mesh2d,torus")).size());
+        const double nodes = static_cast<double>(cfg.get_int("nodes"));
+        const double packets = static_cast<double>(cfg.get_int("packets"));
+        const double gaps = static_cast<double>(cfg.get_list("gaps").size());
+        const double nets =
+            static_cast<double>(split_csv(cfg.get_string("networks")).size());
         return nodes * packets * gaps * nets;
       },
   });

@@ -1,15 +1,20 @@
 // Scenario registry: the single seam every experiment plugs into.
 //
 // Each reproduced figure, table, ablation, and traffic study registers
-// itself as a named Scenario with typed, self-describing parameters
-// (name, default, range, doc string) and a generator returning the
-// common::Table it plots.  The `pimsim` CLI (src/core/cli.hpp) drives the
-// registry — list / run / sweep / verify — so a new workload or topology
-// study is ~30 lines of registration instead of a new build target.
+// itself as a named Scenario with typed, self-describing parameters and a
+// generator returning the common::Table it plots.  A parameter's ParamSpec
+// is the one place its default and range are stated: run_scenario checks
+// every provided value against the declared range (InvalidArgument naming
+// the key and the range) and fills every omitted key from its declared
+// default, so generators and cost hints read each knob without a fallback
+// of their own.  The `pimsim` CLI (src/core/cli.hpp) drives the registry —
+// list / run / sweep / verify — so a new workload or topology study is
+// ~30 lines of registration instead of a new build target.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,15 +24,38 @@
 
 namespace pimsim::core {
 
+/// The values a parameter admits.  Numeric bounds apply to int and
+/// double parameters and to every element of a list; a choice set applies
+/// to a string (or, with `per_item`, to each item of a comma list).  The
+/// default-constructed range admits every value of the kind; doubles and
+/// list elements must always be finite.
+struct ParamRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;                ///< lo itself is excluded
+  std::vector<std::string> choices{};  ///< admitted strings; empty = any
+  bool per_item = false;               ///< choices apply to each csv item
+};
+
+[[nodiscard]] ParamRange above(double lo);               ///< (lo, inf)
+[[nodiscard]] ParamRange at_least(double lo);            ///< [lo, inf)
+[[nodiscard]] ParamRange between(double lo, double hi);  ///< [lo, hi]
+[[nodiscard]] ParamRange one_of(std::vector<std::string> choices);
+[[nodiscard]] ParamRange list_of(std::vector<std::string> choices);
+
 /// One typed, documented scenario parameter (a key=value knob).
 struct ParamSpec {
   enum class Kind { kInt, kDouble, kBool, kString, kList };
 
   std::string key;
   Kind kind = Kind::kDouble;
-  std::string default_value;  ///< rendered default, for documentation
-  std::string range;          ///< valid range or choices, human-readable
+  std::string default_value;  ///< the default, as command-line text
+  ParamRange range;           ///< checked by run_scenario
   std::string doc;            ///< one-line description
+
+  /// The range as `pimsim help` and `list json` print it, e.g. "> 0",
+  /// "[0, 1]", "1..2^20", "flat|ring|mesh2d|torus", "any".
+  [[nodiscard]] std::string range_text() const;
 };
 
 [[nodiscard]] const char* to_string(ParamSpec::Kind kind);
@@ -39,6 +67,7 @@ struct Scenario {
   std::string summary;  ///< one-line description of what it reproduces
   std::string paper;    ///< paper anchor, e.g. "Section 3.1, Figure 5"
   std::vector<ParamSpec> params;
+  /// Called by run_scenario with every declared key set.
   std::function<Table(const Config&)> make;
 
   /// Reduced-grid parameters for `pimsim verify` (fast + deterministic).
@@ -52,15 +81,20 @@ struct Scenario {
   /// for wall time (events, horizon x array size).  Feeds the shard
   /// planner's heaviest-first balance; unset (or throwing) scenarios
   /// weight every point equally.  Never affects results, only which
-  /// shard computes a point.
+  /// shard computes a point.  ScenarioRegistry::add wraps it so omitted
+  /// keys read their declared defaults, as in the generator.
   std::function<double(const Config&)> cost_hint{};
+
+  /// The declared parameter named `key`, or nullptr.
+  [[nodiscard]] const ParamSpec* param(const std::string& key) const;
 };
 
 /// Name -> Scenario map with loud duplicate/lookup failures.
 class ScenarioRegistry {
  public:
   /// Registers a scenario; throws InvalidArgument on an empty or
-  /// duplicate name, or a scenario without a generator.
+  /// duplicate name, a scenario without a generator, or a parameter
+  /// default that does not parse as its kind or lies outside its range.
   void add(Scenario scenario);
 
   [[nodiscard]] bool contains(const std::string& name) const;
@@ -83,8 +117,10 @@ class ScenarioRegistry {
 void register_builtin_scenarios(ScenarioRegistry& registry);
 
 /// Validates `cfg` against the scenario's declared parameters and runs
-/// it.  Unknown keys and values that fail to parse as the declared type
-/// both throw InvalidArgument whose message lists the valid keys.
+/// it with every omitted key set to its declared default.  Unknown keys,
+/// values that fail to parse as the declared type and values outside the
+/// declared range all throw InvalidArgument, before generation starts,
+/// naming the key and range and listing the valid keys.
 /// `extra_allowed` names driver keys (csv=, format=, out=) the caller
 /// consumes itself and the scenario must tolerate.
 [[nodiscard]] Table run_scenario(const Scenario& scenario, const Config& cfg,
@@ -112,9 +148,8 @@ struct ReplicationSpec {
 };
 
 /// Reads the replication request out of `cfg` using the scenario's
-/// declared defaults; throws InvalidArgument naming the valid range when
-/// reps < 1 (the typed pre-parse in run_scenario already rejects
-/// non-integer text).
+/// declared defaults; throws InvalidArgument, as run_scenario does, when
+/// `reps` or `seed` does not parse or lies outside its range.
 [[nodiscard]] ReplicationSpec replication_spec(const Scenario& scenario,
                                                const Config& cfg);
 

@@ -1,6 +1,9 @@
 // Tests for the key=value configuration parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/config.hpp"
 #include "common/error.hpp"
 
@@ -75,6 +78,32 @@ TEST(Config, RejectsBadNumbers) {
         ADD_FAILURE() << "get_bool parsed \"abc\" as " << v;
       },
       ConfigError);
+}
+
+TEST(Config, RejectsIntegersPastInt64InsteadOfClamping) {
+  // strtoll clamps these to INT64_MAX/MIN; reading them as that would be
+  // a silent misread.
+  Config cfg = Config::from_string(
+      "a=99999999999999999999 b=-99999999999999999999 "
+      "c=9223372036854775807 d=-9223372036854775808");
+  EXPECT_THROW((void)cfg.get_int("a", 0), ConfigError);
+  EXPECT_THROW((void)cfg.get_int("b", 0), ConfigError);
+  EXPECT_EQ(cfg.get_int("c", 0), INT64_MAX);
+  EXPECT_EQ(cfg.get_int("d", 0), INT64_MIN);
+}
+
+TEST(Config, GettersWithoutFallbackRequireTheKey) {
+  Config cfg = Config::from_string("i=3 d=0.5 b=on s=x l=1,2");
+  EXPECT_EQ(cfg.get_int("i"), 3);
+  EXPECT_DOUBLE_EQ(cfg.get_double("d"), 0.5);
+  EXPECT_TRUE(cfg.get_bool("b"));
+  EXPECT_EQ(cfg.get_string("s"), "x");
+  EXPECT_EQ(cfg.get_list("l"), (std::vector<double>{1.0, 2.0}));
+  EXPECT_THROW((void)cfg.get_int("missing"), ConfigError);
+  EXPECT_THROW((void)cfg.get_double("missing"), ConfigError);
+  EXPECT_THROW((void)cfg.get_bool("missing"), ConfigError);
+  EXPECT_THROW((void)cfg.get_string("missing"), ConfigError);
+  EXPECT_THROW((void)cfg.get_list("missing"), ConfigError);
 }
 
 TEST(Config, UnusedKeyDetection) {

@@ -75,8 +75,8 @@ Scenario noisy_scenario() {
   s.summary = "synthetic noisy observable for replication tests";
   s.paper = "n/a";
   s.params = {
-      {"seed", ParamSpec::Kind::kInt, "1", ">= 0", "base RNG seed"},
-      {"reps", ParamSpec::Kind::kInt, "1", ">= 1", "replications"},
+      {"seed", ParamSpec::Kind::kInt, "1", {}, "base RNG seed"},
+      {"reps", ParamSpec::Kind::kInt, "1", at_least(1), "replications"},
   };
   s.make = [](const Config& cfg) {
     Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 1)));
@@ -360,8 +360,8 @@ Scenario mm1_scenario() {
   s.summary = "M/M/1 mean wait via Lindley recursion";
   s.paper = "n/a";
   s.params = {
-      {"seed", ParamSpec::Kind::kInt, "1", ">= 0", "base RNG seed"},
-      {"reps", ParamSpec::Kind::kInt, "1", ">= 1", "replications"},
+      {"seed", ParamSpec::Kind::kInt, "1", {}, "base RNG seed"},
+      {"reps", ParamSpec::Kind::kInt, "1", at_least(1), "replications"},
   };
   s.make = [](const Config& cfg) {
     const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));

@@ -1,7 +1,9 @@
-// Scenario registry tests: lookup and duplicate rejection, typed
-// parameter validation (InvalidArgument listing the valid keys), and the
-// registry-vs-generator equivalence contract — `pimsim run fig5` produces
-// the exact table make_fig5 produces, at any sweep_threads.
+// Scenario registry tests: lookup and duplicate rejection, typed and
+// range-checked parameter validation (InvalidArgument naming the key and
+// range and listing the valid keys), declared defaults as the one source
+// of every omitted value, and the registry-vs-generator equivalence
+// contract — `pimsim run fig5` produces the exact table make_fig5
+// produces, at any sweep_threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,6 +156,134 @@ TEST(RunScenario, Fig7ListAndScalarDefaultsMatchBenchDefaults) {
   std::sort(nodes.begin(), nodes.end());
   const Table direct = make_fig7(params, nodes, fraction_range(10));
   EXPECT_EQ(csv_of(via_registry), csv_of(direct));
+}
+
+TEST(RunScenario, ExplicitDefaultsMatchOmittedKeysForEveryScenario) {
+  // A parameter's declared default is the value the generator runs with:
+  // spelling every omitted key out at its default must not change a byte.
+  for (const Scenario* s : ScenarioRegistry::global().all()) {
+    const Config omitted = Config::from_string(s->verify_params);
+    Config spelled = omitted;
+    for (const ParamSpec& p : s->params) {
+      if (!omitted.has(p.key)) spelled.set(p.key, p.default_value);
+    }
+    EXPECT_EQ(table_fingerprint(run_scenario(*s, spelled)),
+              table_fingerprint(run_scenario(*s, omitted)))
+        << s->name << " with every default spelled out";
+  }
+}
+
+/// A copy of the registered scenario whose generator only records that
+/// it was reached, so a value that would hang or crash generation fails
+/// the test instead of the run.
+Scenario stub_of(const std::string& name, bool& reached) {
+  Scenario stub = ScenarioRegistry::global().get(name);
+  stub.make = [&reached](const Config&) {
+    reached = true;
+    return Table("stub", {"none"});
+  };
+  return stub;
+}
+
+TEST(RunScenario, OutOfRangeValuesThrowNamingKeyAndRangeBeforeGeneration) {
+  struct Case {
+    const char* scenario;
+    const char* params;
+    const char* key;
+    const char* range;
+  };
+  for (const Case& c : {
+           Case{"fig5", "ops=-1", "ops", "> 0"},
+           Case{"multithreading", "ops=-3", "ops", "> 0"},
+           Case{"fig5", "maxnodes=-4", "maxnodes", "1..2^20"},
+           Case{"fig5", "threads=-1", "threads", ">= 0"},
+           Case{"fig12", "sizes=-1", "sizes", ">= 1"},
+           Case{"ablation_topology", "nodes=-1", "nodes", ">= 1"},
+           Case{"hotspot", "nodes=1", "nodes", ">= 2"},
+           Case{"fig12", "horizon=nan", "horizon", "> 0"},
+           Case{"fig11", "latencies=10,nan", "latencies", "> 0"},
+           Case{"fig12", "premote=1.5", "premote", "[0, 1]"},
+           Case{"fig11", "network=hex", "network", "flat|ring|mesh2d|torus"},
+           Case{"hotspot", "networks=flat,hex", "networks",
+                "comma list of flat|ring|mesh2d|torus"},
+           Case{"fig5", "reps=0", "reps", ">= 1"},
+       }) {
+    bool reached = false;
+    const Scenario stub = stub_of(c.scenario, reached);
+    try {
+      (void)run_scenario(stub, Config::from_string(c.params));
+      ADD_FAILURE() << c.scenario << " " << c.params << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + c.key + "'"), std::string::npos)
+          << c.params << ": " << what;
+      EXPECT_NE(what.find(std::string("range ") + c.range), std::string::npos)
+          << c.params << ": " << what;
+    }
+    EXPECT_FALSE(reached) << c.scenario << " " << c.params;
+  }
+}
+
+TEST(RunScenario, EveryInt64SeedAndOneRepAreAccepted) {
+  // run_replication renders SplitMix64 seeds past INT64_MAX as negative,
+  // so a seed's range is all of int64.
+  for (const char* params :
+       {"seed=-1", "seed=-9223372036854775808", "seed=9223372036854775807",
+        "reps=1", "reps=3 seed=7"}) {
+    bool reached = false;
+    const Scenario stub = stub_of("fig12", reached);
+    EXPECT_NO_THROW((void)run_scenario(stub, Config::from_string(params)))
+        << params;
+    EXPECT_TRUE(reached) << params;
+  }
+}
+
+TEST(RunScenario, CostHintsReadDeclaredDefaultsFromAnUnresolvedConfig) {
+  // Shard planners pass each point's config as written; the hint must see
+  // the same defaults the generator runs with.
+  const Scenario& fig11 = ScenarioRegistry::global().get("fig11");
+  EXPECT_DOUBLE_EQ(fig11.cost_hint(Config()),
+                   30000.0 * 8 * 1 * 7 * 5 * (1 + 2 + 4 + 8 + 16 + 32));
+  const Scenario& fig5 = ScenarioRegistry::global().get("fig5");
+  EXPECT_DOUBLE_EQ(fig5.cost_hint(Config::from_string("ops=2000")),
+                   1.0 * 9 * 2000 / 1e6);
+}
+
+TEST(ScenarioRegistry, RejectsDefaultsOutsideTheirKindOrRange) {
+  const auto with_param = [](ParamSpec p) {
+    Scenario s;
+    s.name = "bad_default";
+    s.make = [](const Config&) { return Table("t", {"c"}); };
+    s.params = {std::move(p)};
+    return s;
+  };
+  for (const ParamSpec& p :
+       {ParamSpec{"ops", ParamSpec::Kind::kInt, "0", above(0), "d"},
+        ParamSpec{"ops", ParamSpec::Kind::kInt, "ten", at_least(1), "d"},
+        ParamSpec{"pct", ParamSpec::Kind::kDouble, "2", between(0, 1), "d"},
+        ParamSpec{"on", ParamSpec::Kind::kBool, "maybe", {}, "d"},
+        ParamSpec{"net", ParamSpec::Kind::kString, "hex",
+                  one_of({"flat", "ring"}), "d"},
+        ParamSpec{"xs", ParamSpec::Kind::kList, "1,-1", at_least(0), "d"}}) {
+    ScenarioRegistry reg;
+    EXPECT_THROW(reg.add(with_param(p)), InvalidArgument) << p.key;
+    EXPECT_FALSE(reg.contains("bad_default")) << p.key;
+  }
+}
+
+TEST(ParamSpec, RangeTextRendersEveryForm) {
+  const auto text = [](ParamSpec::Kind kind, ParamRange range) {
+    return ParamSpec{"k", kind, "1", std::move(range), "d"}.range_text();
+  };
+  EXPECT_EQ(text(ParamSpec::Kind::kInt, above(0)), "> 0");
+  EXPECT_EQ(text(ParamSpec::Kind::kInt, at_least(1)), ">= 1");
+  EXPECT_EQ(text(ParamSpec::Kind::kInt, between(1, 1 << 20)), "1..2^20");
+  EXPECT_EQ(text(ParamSpec::Kind::kDouble, between(0, 1)), "[0, 1]");
+  EXPECT_EQ(text(ParamSpec::Kind::kInt, {}), "any");
+  EXPECT_EQ(text(ParamSpec::Kind::kBool, {}), "0|1");
+  EXPECT_EQ(text(ParamSpec::Kind::kString, one_of({"a", "b"})), "a|b");
+  EXPECT_EQ(text(ParamSpec::Kind::kString, list_of({"a", "b"})),
+            "comma list of a|b");
 }
 
 TEST(TableFingerprint, DistinguishesTablesAndIsStable) {
