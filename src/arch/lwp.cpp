@@ -6,16 +6,6 @@
 
 namespace pimsim::arch {
 
-namespace {
-/// Address stride of the contended path's access stream: one wide word
-/// (word_bits / 8 bytes at the default geometry), so consecutive accesses
-/// walk the row buffer and the open-row hit rate reflects spatial
-/// locality instead of being degenerate.
-constexpr std::uint64_t kAccessStrideBytes = 32;
-/// Each node streams through its own address region.
-constexpr std::uint64_t kNodeRegionBytes = std::uint64_t{1} << 32;
-}  // namespace
-
 Lwp::Lwp(des::Simulation& sim, const SystemParams& params, Rng rng,
          std::uint64_t batch_ops, const mem::MemorySystem* memory,
          std::size_t node)
@@ -50,8 +40,9 @@ des::Process Lwp::run_batched(std::uint64_t ops) {
 des::Process Lwp::run_contended(std::uint64_t ops) {
   // Per-access path: compute runs are still aggregated (they cannot
   // conflict), but each memory access is issued through the seam, where
-  // it queues at its home bank behind other accessors.
-  std::uint64_t addr = static_cast<std::uint64_t>(node_) * kNodeRegionBytes;
+  // it queues at its home bank behind other accessors.  Each run() walks
+  // the node's address stream from its start.
+  mem::AddressStream addrs(node_);
   std::uint64_t remaining = ops;
   while (remaining > 0) {
     // Length of the compute run until the next memory access.
@@ -66,9 +57,8 @@ des::Process Lwp::run_contended(std::uint64_t ops) {
     if (remaining == 0) break;
 
     const SimTime start = sim_.now();
-    co_await mem::AccessAwaitable{*memory_, sim_, node_, addr,
+    co_await mem::AccessAwaitable{*memory_, sim_, node_, addrs.next(),
                                   mem::AccessKind::kLwpRow};
-    addr += kAccessStrideBytes;
     counts_.ops += 1;
     counts_.mem_ops += 1;
     counts_.busy_cycles += sim_.now() - start;  // includes bank queueing

@@ -13,7 +13,7 @@ MultithreadedLwp::MultithreadedLwp(des::Simulation& sim,
                                    const mem::MemorySystem* memory,
                                    std::size_t node)
     : sim_(sim), params_(params), rng_(rng), threads_(threads),
-      switch_cost_(switch_cost), memory_(memory), node_(node),
+      switch_cost_(switch_cost), memory_(memory), node_(node), addrs_(node),
       pipeline_(sim, 1, "mtlwp.pipeline") {
   params_.validate();
   require(threads >= 1, "MultithreadedLwp: need at least one thread");
@@ -55,12 +55,8 @@ des::Process MultithreadedLwp::thread_body(std::uint64_t ops, Rng rng,
     // threads can run (the row-buffer access is overlappable).
     pipeline_.release();
     if (memory_ != nullptr && memory_->contended()) {
-      // Node-interleaved stride: the threads share the node's row buffer.
-      const std::uint64_t addr =
-          static_cast<std::uint64_t>(node_) * (std::uint64_t{1} << 32) +
-          next_offset_;
-      next_offset_ += 32;  // one wide word (word_bits / 8)
-      co_await mem::AccessAwaitable{*memory_, sim_, node_, addr,
+      // One stream per node: the threads share the node's row buffer.
+      co_await mem::AccessAwaitable{*memory_, sim_, node_, addrs_.next(),
                                     mem::AccessKind::kLwpRow};
     } else {
       co_await des::delay(sim_,

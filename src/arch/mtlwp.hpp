@@ -53,7 +53,7 @@ class MultithreadedLwp {
   double switch_cost_;
   const mem::MemorySystem* memory_;
   std::size_t node_;
-  std::uint64_t next_offset_ = 0;  ///< contended path: next address offset
+  mem::AddressStream addrs_;  ///< contended path: the node's address stream
   des::Resource pipeline_;
   OpCounts counts_;
 };

@@ -67,6 +67,20 @@ double parse_double(const std::string& key, const std::string& text) {
   return v;
 }
 
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  require(end != nullptr && *end == '\0' && end != text.c_str(), [&] {
+    return "Config: value for '" + key + "' is not an integer: " + text;
+  });
+  // strtoll clamps out-of-range text to INT64_MAX/MIN; refuse, not misread.
+  require(errno != ERANGE, [&] {
+    return "Config: value for '" + key + "' is outside int64: " + text;
+  });
+  return v;
+}
+
 }  // namespace
 
 const std::string& Config::at(const std::string& key) const {
@@ -83,18 +97,7 @@ double Config::get_double(const std::string& key) const {
 }
 
 std::int64_t Config::get_int(const std::string& key) const {
-  const std::string& text = at(key);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  require(end != nullptr && *end == '\0' && end != text.c_str(), [&] {
-    return "Config: value for '" + key + "' is not an integer: " + text;
-  });
-  // strtoll clamps out-of-range text to INT64_MAX/MIN; refuse, not misread.
-  require(errno != ERANGE, [&] {
-    return "Config: value for '" + key + "' is outside int64: " + text;
-  });
-  return v;
+  return parse_int(key, at(key));
 }
 
 bool Config::get_bool(const std::string& key) const {
@@ -108,6 +111,15 @@ std::vector<double> Config::get_list(const std::string& key) const {
   std::vector<double> out;
   for (const std::string& piece : split_csv(at(key))) {
     out.push_back(parse_double(key, piece));
+  }
+  require(!out.empty(), [&] { return "Config: list for '" + key + "' is empty"; });
+  return out;
+}
+
+std::vector<std::int64_t> Config::get_int_list(const std::string& key) const {
+  std::vector<std::int64_t> out;
+  for (const std::string& piece : split_csv(at(key))) {
+    out.push_back(parse_int(key, piece));
   }
   require(!out.empty(), [&] { return "Config: list for '" + key + "' is empty"; });
   return out;

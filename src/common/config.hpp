@@ -52,6 +52,9 @@ class Config {
   [[nodiscard]] std::vector<double> get_list(
       const std::string& key, const std::vector<double>& fallback) const;
   [[nodiscard]] std::vector<double> get_list(const std::string& key) const;
+  /// Comma-separated list of integers; a fraction throws, never truncates.
+  [[nodiscard]] std::vector<std::int64_t> get_int_list(
+      const std::string& key) const;
 
   /// Keys that were set but never read; used to reject typos after setup.
   [[nodiscard]] std::vector<std::string> unused_keys() const;

@@ -64,12 +64,12 @@ usage:
       declares a grid axis (list-typed parameters pass through
       verbatim).  Command-line key=value pairs override the file.
       Points fan out across a SweepRunner pool of `jobs` threads
-      (0 = all cores); each point's own `threads` knob is pinned to 1
-      unless set explicitly.  Output is one table per point, preceded
-      by `# <scenario> <assignment>`.  metrics=PATH aggregates the
-      metrics registries of every point into one dump (deterministic
-      regardless of jobs=N); profile=1 prints the pooled dispatch
-      profile on stderr.
+      (0 = all cores; at most 1024); each point's own `threads` knob
+      is pinned to 1 unless set explicitly.  Output is one table per
+      point, preceded by `# <scenario> <assignment>`.  metrics=PATH
+      aggregates the metrics registries of every point into one dump
+      (deterministic regardless of jobs=N); profile=1 prints the
+      pooled dispatch profile on stderr.
       shard=i/N runs only shard i of a deterministic N-way partition
       of the grid (heaviest points spread first) and requires out=DIR:
       the shard writes a self-describing chunk (rendered blocks +
@@ -381,7 +381,8 @@ std::vector<SweepPoint> expand_grid(const Scenario& scenario,
     const std::string value = merged.get_string(key, "");
     const ParamSpec* spec = scenario.param(key);
     const bool is_list =
-        spec != nullptr && spec->kind == ParamSpec::Kind::kList;
+        spec != nullptr && (spec->kind == ParamSpec::Kind::kList ||
+                            spec->kind == ParamSpec::Kind::kIntList);
     if (!is_list && value.find(',') != std::string::npos) {
       Axis axis{key, split_csv(value)};
       require(!axis.values.empty(),
@@ -655,7 +656,13 @@ int cmd_sweep(const std::vector<std::string>& args) {
     note_key(token);
   }
 
-  const auto jobs = static_cast<std::size_t>(cli.get_int("jobs", 0));
+  const std::int64_t jobs_arg = cli.get_int("jobs", 0);
+  if (jobs_arg < 0 || jobs_arg > static_cast<std::int64_t>(kMaxSweepThreads)) {
+    throw InvalidArgument("pimsim sweep: jobs=" + std::to_string(jobs_arg) +
+                          " is out of range 0.." +
+                          std::to_string(kMaxSweepThreads));
+  }
+  const auto jobs = static_cast<std::size_t>(jobs_arg);
   const std::string format = format_of(cli);
   const std::string metrics_path = cli.get_string("metrics", "");
   const bool profile = cli.get_bool("profile", false);

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
+#include "core/sweep.hpp"
 #include "des/process.hpp"
 #include "des/simulation.hpp"
 #include "interconnect/contention.hpp"
@@ -34,6 +35,7 @@ const char* to_string(ParamSpec::Kind kind) {
     case ParamSpec::Kind::kBool: return "bool";
     case ParamSpec::Kind::kString: return "string";
     case ParamSpec::Kind::kList: return "list";
+    case ParamSpec::Kind::kIntList: return "int list";
   }
   return "?";
 }
@@ -96,6 +98,11 @@ void check_value(const ParamSpec& p, const Config& cfg) {
     case ParamSpec::Kind::kList:
       for (const double v : cfg.get_list(p.key)) number(v);
       break;
+    case ParamSpec::Kind::kIntList:
+      for (const std::int64_t v : cfg.get_int_list(p.key)) {
+        number(static_cast<double>(v));
+      }
+      break;
     case ParamSpec::Kind::kString: {
       if (r.choices.empty()) break;
       const std::string text = cfg.get_string(p.key);
@@ -150,6 +157,11 @@ ParamSpec p_list(std::string key, std::string def, ParamRange range,
   return {std::move(key), ParamSpec::Kind::kList, std::move(def),
           std::move(range), std::move(doc)};
 }
+ParamSpec p_int_list(std::string key, std::string def, ParamRange range,
+                     std::string doc) {
+  return {std::move(key), ParamSpec::Kind::kIntList, std::move(def),
+          std::move(range), std::move(doc)};
+}
 
 // Every int64 is a valid seed: run_replication renders SplitMix64 seeds
 // past INT64_MAX as negative.
@@ -161,7 +173,8 @@ ParamSpec p_reps() {
                "seed-streamed replications; > 1 adds mean ± CI columns");
 }
 ParamSpec p_threads() {
-  return p_int("threads", "0", at_least(0),
+  return p_int("threads", "0",
+               between(0, static_cast<double>(kMaxSweepThreads)),
                "SweepRunner fan-out; 0 = one thread per core");
 }
 
@@ -200,11 +213,9 @@ void read_parcel_knobs(const Config& cfg, parcel::SplitTransactionParams& p) {
   read_memory_knobs(cfg, p.memory, p.mem_banks, p.mem_queue);
 }
 
-std::vector<std::size_t> as_sizes(const std::vector<double>& values) {
-  std::vector<std::size_t> out;
-  out.reserve(values.size());
-  for (const double v : values) out.push_back(static_cast<std::size_t>(v));
-  return out;
+/// An int-list knob, already range-checked >= 1 by run_scenario.
+std::vector<std::size_t> as_sizes(const std::vector<std::int64_t>& values) {
+  return {values.begin(), values.end()};
 }
 
 /// The Table 1 knobs table1 and fig7 share, after the scenario's own
@@ -666,8 +677,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
               "system-wide round-trip latency axis L"),
        p_list("remotes", "0.02,0.05,0.1,0.2,0.5", between(0, 1),
               "remote-access fraction curve family"),
-       p_list("pars", "1,2,4,8,16,32", at_least(1),
-              "degree-of-parallelism groups"),
+       p_int_list("pars", "1,2,4,8,16,32", at_least(1),
+                  "degree-of-parallelism groups"),
        p_reps(), p_memory(), p_mem_banks(), p_mem_queue(), p_seed(),
        p_threads()},
       [](const Config& cfg) {
@@ -679,7 +690,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         read_parcel_knobs(cfg, fig.base);
         fig.latencies = cfg.get_list("latencies");
         fig.remote_fractions = cfg.get_list("remotes");
-        fig.parallelism = as_sizes(cfg.get_list("pars"));
+        fig.parallelism = as_sizes(cfg.get_int_list("pars"));
         fig.sweep_threads = static_cast<std::size_t>(cfg.get_int("threads"));
         return make_fig11(fig);
       },
@@ -695,7 +706,9 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         const auto lat = cfg.get_list("latencies");
         const auto rem = cfg.get_list("remotes");
         double pars = 0.0;
-        for (double p : cfg.get_list("pars")) pars += p;
+        for (const std::int64_t p : cfg.get_int_list("pars")) {
+          pars += static_cast<double>(p);
+        }
         const double net = cfg.get_bool("contention") ? 3.0 : 1.0;
         return horizon * nodes * net * static_cast<double>(lat.size()) *
                static_cast<double>(rem.size()) * pars;
@@ -712,10 +725,10 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
        p_str("network", "flat", one_of(networks()), "topology"),
        p_bool("contention", "0", "packet-level network instead of analytic"),
        p_int("bytes", "16", at_least(1), "request/reply wire size (flit count)"),
-       p_list("sizes", "1,2,4,8,16,32,64,128,256", at_least(1),
-              "system-size panels"),
-       p_list("pars", "1,2,4,8,16,32", at_least(1),
-              "degree-of-parallelism axis"),
+       p_int_list("sizes", "1,2,4,8,16,32,64,128,256", at_least(1),
+                  "system-size panels"),
+       p_int_list("pars", "1,2,4,8,16,32", at_least(1),
+                  "degree-of-parallelism axis"),
        p_reps(), p_memory(), p_mem_banks(), p_mem_queue(), p_seed(),
        p_threads()},
       [](const Config& cfg) {
@@ -724,8 +737,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         fig.base.round_trip_latency = cfg.get_double("latency");
         fig.base.p_remote = cfg.get_double("premote");
         read_parcel_knobs(cfg, fig.base);
-        fig.node_counts = as_sizes(cfg.get_list("sizes"));
-        fig.parallelism = as_sizes(cfg.get_list("pars"));
+        fig.node_counts = as_sizes(cfg.get_int_list("sizes"));
+        fig.parallelism = as_sizes(cfg.get_int_list("pars"));
         fig.sweep_threads = static_cast<std::size_t>(cfg.get_int("threads"));
         return make_fig12(fig);
       },
@@ -736,9 +749,13 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       [](const Config& cfg) {
         const double horizon = cfg.get_double("horizon");
         double sizes = 0.0;
-        for (double s : cfg.get_list("sizes")) sizes += s;
+        for (const std::int64_t s : cfg.get_int_list("sizes")) {
+          sizes += static_cast<double>(s);
+        }
         double pars = 0.0;
-        for (double p : cfg.get_list("pars")) pars += p;
+        for (const std::int64_t p : cfg.get_int_list("pars")) {
+          pars += static_cast<double>(p);
+        }
         const double net = cfg.get_bool("contention") ? 3.0 : 1.0;
         return horizon * sizes * pars * net;
       },
@@ -870,7 +887,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "extension (memory seam)",
       {p_int("ops", "400000", above(0), "workload operations per run"),
        p_int("nodes", "8", at_least(1), "LWP count (100% LWP work)"),
-       p_list("banks", "1,2,4,8", at_least(1), "DRAM bank counts to sweep"),
+       p_int_list("banks", "1,2,4,8", at_least(1),
+                  "DRAM bank counts to sweep"),
        p_int("queue", "0", at_least(0), "shared access ports (0 = one per bank)"),
        p_reps(), p_seed()},
       [](const Config& cfg) {
@@ -884,13 +902,13 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
                     ")",
                 {"Banks", "makespan (cycles)", "vs analytic", "row-hit %",
                  "accesses"});
-        for (double b : cfg.get_list("banks")) {
+        for (const std::int64_t b : cfg.get_int_list("banks")) {
           arch::HostConfig cfg2 = base;
           cfg2.memory.kind = "banked";
           cfg2.memory.banks = static_cast<std::size_t>(b);
           cfg2.memory.queue = queue;
           const arch::HostResult r = arch::run_host_system(cfg2);
-          t.add_row({static_cast<std::int64_t>(b), r.total_cycles,
+          t.add_row({b, r.total_cycles,
                      r.total_cycles / analytic, r.mem_row_hit_rate * 100.0,
                      static_cast<std::int64_t>(r.mem_accesses)});
         }
@@ -902,7 +920,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       /*cost_hint=*/
       [](const Config& cfg) {
         const double ops = static_cast<double>(cfg.get_int("ops"));
-        const double banks = static_cast<double>(cfg.get_list("banks").size());
+        const double banks =
+            static_cast<double>(cfg.get_int_list("banks").size());
         return ops * banks;
       },
   });

@@ -45,7 +45,7 @@ struct ParamRange {
 
 /// One typed, documented scenario parameter (a key=value knob).
 struct ParamSpec {
-  enum class Kind { kInt, kDouble, kBool, kString, kList };
+  enum class Kind { kInt, kDouble, kBool, kString, kList, kIntList };
 
   std::string key;
   Kind kind = Kind::kDouble;

@@ -83,8 +83,14 @@ struct SweepRunner::Batch {
 };
 
 SweepRunner::SweepRunner(std::size_t threads) {
+  if (threads > kMaxSweepThreads) {
+    throw InvalidArgument("SweepRunner: " + std::to_string(threads) +
+                          " threads requested; at most " +
+                          std::to_string(kMaxSweepThreads) + " are allowed");
+  }
   if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
+    threads = std::min<std::size_t>(std::thread::hardware_concurrency(),
+                                    kMaxSweepThreads);
     if (threads == 0) threads = 1;
   }
   workers_.reserve(threads - 1);

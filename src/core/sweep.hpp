@@ -40,10 +40,16 @@ struct ShardSpec {
 [[nodiscard]] std::vector<std::size_t> plan_shards(
     const std::vector<double>& weights, std::size_t shards);
 
+/// Largest thread count a SweepRunner accepts: the `threads` scenario knob
+/// declares this range, and `pimsim sweep jobs=` is held to it.
+inline constexpr std::size_t kMaxSweepThreads = 1024;
+
 class SweepRunner {
  public:
   /// Spawns a pool of `threads` - 1 workers (the calling thread participates
-  /// in every batch).  `threads` == 0 means std::thread::hardware_concurrency.
+  /// in every batch).  `threads` == 0 means
+  /// min(std::thread::hardware_concurrency, kMaxSweepThreads).  Throws
+  /// InvalidArgument above kMaxSweepThreads, before starting any thread.
   explicit SweepRunner(std::size_t threads = 0);
   ~SweepRunner();
 

@@ -4,32 +4,6 @@
 
 namespace pimsim::mem {
 
-StatCache::StatCache(double p_miss, Rng rng) : p_miss_(p_miss), rng_(rng) {
-  require(p_miss >= 0.0 && p_miss <= 1.0, "StatCache: p_miss must be in [0,1]");
-}
-
-CacheOutcome StatCache::access() {
-  if (rng_.bernoulli(p_miss_)) {
-    ++misses_;
-    return CacheOutcome::kMiss;
-  }
-  ++hits_;
-  return CacheOutcome::kHit;
-}
-
-std::uint64_t StatCache::misses_among(std::uint64_t n) {
-  const std::uint64_t m = rng_.binomial(n, p_miss_);
-  misses_ += m;
-  hits_ += n - m;
-  return m;
-}
-
-double StatCache::observed_miss_rate() const {
-  const std::uint64_t total = hits_ + misses_;
-  return total == 0 ? 0.0
-                    : static_cast<double>(misses_) / static_cast<double>(total);
-}
-
 void CacheGeometry::validate() const {
   require(size_bytes > 0 && line_bytes > 0 && ways > 0,
           "CacheGeometry: all fields must be positive");

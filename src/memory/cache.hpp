@@ -1,8 +1,8 @@
 // Cache models for the heavyweight processor.
 //
 // The paper's queuing model treats the HWP cache statistically: each
-// load/store misses with fixed probability Pmiss = 0.1 (Table 1).
-// StatCache implements exactly that.  SetAssocCache is a structural
+// load/store misses with fixed probability Pmiss = 0.1 (Table 1), drawn
+// in the HWP model itself (arch/hwp.cpp).  SetAssocCache is a structural
 // set-associative LRU cache simulator used to *ground* the Pmiss
 // parameter: running the synthetic access patterns in
 // workload/access_pattern.hpp through it shows which kinds of streams
@@ -14,35 +14,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
-
 namespace pimsim::mem {
 
 /// Outcome of a cache access.
 enum class CacheOutcome : std::uint8_t { kHit, kMiss };
-
-/// Statistical cache: misses are i.i.d. Bernoulli(p_miss).
-class StatCache {
- public:
-  StatCache(double p_miss, Rng rng);
-
-  /// Samples one access outcome.
-  [[nodiscard]] CacheOutcome access();
-  /// Samples `n` accesses at once; returns the number of misses.
-  /// Statistically identical to calling access() n times.
-  [[nodiscard]] std::uint64_t misses_among(std::uint64_t n);
-
-  [[nodiscard]] double p_miss() const { return p_miss_; }
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] double observed_miss_rate() const;
-
- private:
-  double p_miss_;
-  Rng rng_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 /// Geometry of a structural cache.
 struct CacheGeometry {

@@ -9,19 +9,13 @@
 //
 // DramMacroSpec captures those constants and the closed-form bandwidth
 // arithmetic; DramBank adds open-row (row buffer) state so timing depends
-// on the access stream; BankedMemory composes banks with a shared-port
-// conflict model used by the bank-conflict ablation.
+// on the access stream.  Banked, contended memory lives behind the
+// MemorySystem seam (contention_memory.hpp), which tracks one DramBank
+// per bank.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/units.hpp"
-#include "des/process.hpp"
-#include "des/resource.hpp"
-#include "des/simulation.hpp"
 
 namespace pimsim::mem {
 
@@ -83,39 +77,6 @@ class DramBank {
   bool any_open_ = false;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-};
-
-/// A node-local memory composed of `banks` DRAM banks behind `ports`
-/// simultaneous access ports.  Used by the bank-conflict ablation:
-/// with ports == banks there is no conflict; fewer ports serialize.
-class BankedMemory {
- public:
-  BankedMemory(des::Simulation& sim, std::size_t banks, std::size_t ports,
-               DramMacroSpec spec = {}, std::string name = "mem");
-
-  /// Bank index an address maps to (low-order interleaving by wide word).
-  [[nodiscard]] std::size_t bank_of(std::uint64_t address) const;
-  /// Row index an address maps to within its bank.
-  [[nodiscard]] std::uint64_t row_of(std::uint64_t address) const;
-
-  /// Coroutine access: waits for a port, pays the bank timing, releases.
-  /// Latency depends on the open-row state of the target bank.
-  [[nodiscard]] des::Process access(std::uint64_t address, ClockSpec clock);
-
-  /// Waits for a port and occupies it for exactly `cycles` (statistical
-  /// path used by the LWP model when per-address detail is not needed).
-  [[nodiscard]] des::Process access_for(Cycles cycles);
-
-  [[nodiscard]] std::size_t banks() const { return banks_.size(); }
-  [[nodiscard]] des::Resource& ports() { return ports_; }
-  [[nodiscard]] DramBank& bank(std::size_t i);
-  [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
-
- private:
-  des::Simulation& sim_;
-  std::vector<DramBank> banks_;
-  des::Resource ports_;
-  std::uint64_t accesses_ = 0;
 };
 
 }  // namespace pimsim::mem

@@ -126,6 +126,29 @@ class AnalyticMemory final : public MemorySystem {
   Cycles hwp_miss_cycles_;
 };
 
+/// A node's address stream on a banked backend: node `n` owns the 2^32-byte
+/// region starting at n * 2^32 and walks it one 32-byte wide word
+/// (DramMacroSpec::word_bits / 8) at a time, so consecutive accesses walk
+/// the row buffer and the bank mapping is a deterministic function of the
+/// node id.  Callers own the cursor's lifetime.
+class AddressStream {
+ public:
+  explicit AddressStream(std::size_t node)
+      : next_(static_cast<std::uint64_t>(node) * kRegionBytes) {}
+
+  /// Returns the next address and advances one wide word.
+  [[nodiscard]] std::uint64_t next() {
+    const std::uint64_t addr = next_;
+    next_ += kStrideBytes;
+    return addr;
+  }
+
+ private:
+  static constexpr std::uint64_t kStrideBytes = 32;
+  static constexpr std::uint64_t kRegionBytes = std::uint64_t{1} << 32;
+  std::uint64_t next_;
+};
+
 /// Awaitable bridging coroutine code onto the completion-event seam:
 ///
 ///   co_await mem::AccessAwaitable{memory, sim, node, addr,

@@ -52,18 +52,6 @@ double SystemRunResult::mean_overhead_fraction() const {
 
 namespace {
 
-// Banked-memory address stream: each node walks its own region one wide
-// word at a time (same stride the arch-layer LWP model uses), so open-row
-// locality and bank mapping are deterministic functions of the node id.
-constexpr std::uint64_t kAccessStrideBytes = 32;
-constexpr std::uint64_t kNodeRegionBytes = std::uint64_t{1} << 32;
-
-std::uint64_t next_addr(NodeId id, std::uint64_t& offset) {
-  const std::uint64_t addr = id * kNodeRegionBytes + offset;
-  offset += kAccessStrideBytes;
-  return addr;
-}
-
 /// In-memory message of the statistical models: who asked, and the trigger
 /// that reactivates the waiting thread/context once the reply arrives.
 struct SimMessage {
@@ -80,25 +68,43 @@ NodeId pick_target(Rng& rng, NodeId self, std::size_t nodes) {
   return t;
 }
 
-// ---------------------------------------------------------------------
-// Control system: conventional blocking message passing (Figure 10 top).
-// ---------------------------------------------------------------------
+/// What the two Figure 10 systems seed and name differently.  Everything
+/// else — nodes, message path, memory seam, observability — is shared.
+struct SystemKind {
+  bool split;                 ///< test system: split-transaction parcels
+  std::uint64_t stream_id;    ///< root RNG stream
+  const char* node_prefix;    ///< resource/mailbox names: "<prefix><id>.in"
+  const char* station;        ///< name suffix of the single-server station
+  const char* rtt_metric;     ///< request round-trip summary
+  const char* request_label;  ///< async trace span of one request
+};
 
-struct ControlNode {
-  ControlNode(des::Simulation& sim, NodeId node_id, Rng node_rng)
+constexpr SystemKind kControlSystem{false, 0xC0, "ctl", ".mem",
+                                    "msg.request_rtt_cycles", "msg.request"};
+constexpr SystemKind kTestSystem{true, 0x7E, "pim", ".cpu",
+                                 "parcel.request_rtt_cycles", "parcel.request"};
+
+/// One node of either system.  The station is the node's one
+/// single-server resource: the control node's DMA-reachable memory port
+/// (ctl<i>.mem), or the test node's processor (pim<i>.cpu).
+struct Node {
+  Node(des::Simulation& sim, const SystemKind& kind, NodeId node_id,
+       Rng node_rng)
       : id(node_id),
-        incoming(sim, "ctl" + std::to_string(node_id) + ".in"),
-        memory(sim, 1, "ctl" + std::to_string(node_id) + ".mem"),
-        nic(sim, 1, "ctl" + std::to_string(node_id) + ".nic"),
-        rng(node_rng) {}
+        incoming(sim, kind.node_prefix + std::to_string(node_id) + ".in"),
+        station(sim, 1,
+                kind.node_prefix + std::to_string(node_id) + kind.station),
+        nic(sim, 1, kind.node_prefix + std::to_string(node_id) + ".nic"),
+        rng(node_rng),
+        addrs(node_id) {}
 
   NodeId id;
   des::Mailbox<SimMessage> incoming;
-  des::Resource memory;  ///< DMA-reachable memory port
-  des::Resource nic;     ///< injection port (bandwidth ablation)
+  des::Resource station;
+  des::Resource nic;  ///< injection port (bandwidth ablation)
   Rng rng;
   NodeStats stats;
-  std::uint64_t next_offset = 0;  ///< banked memory: address stream cursor
+  mem::AddressStream addrs;  ///< banked memory: this node's address stream
 };
 
 /// Ships a message: serializes through the sender's NIC when nic_gap > 0,
@@ -126,28 +132,40 @@ void ship(des::Simulation& sim, des::Resource& nic, Cycles gap,
   }
 }
 
-class MessagePassingSystem {
+/// Either Figure 10 system.  Nodes, message path, memory seam and
+/// observability hooks are shared; the node programs are the paper's
+/// difference: the control node blocks on a remote access, the test node
+/// splits the transaction and runs another parcel context.
+class Figure10System {
  public:
-  MessagePassingSystem(const SplitTransactionParams& params,
-                       const Interconnect& net,
-                       const mem::MemorySystem* memory)
-      : p_(params), net_(net), mem_(memory) {
-    Rng root(p_.seed, /*stream_id=*/0xC0);
+  Figure10System(const SplitTransactionParams& params, const SystemKind& kind,
+                 const Interconnect& net, const mem::MemorySystem* memory)
+      : p_(params), split_(kind.split), net_(net), mem_(memory) {
+    Rng root(p_.seed, kind.stream_id);
     nodes_.reserve(p_.nodes);
     for (std::size_t i = 0; i < p_.nodes; ++i) {
-      nodes_.push_back(std::make_unique<ControlNode>(
-          sim_, static_cast<NodeId>(i), root.split(i)));
+      nodes_.push_back(std::make_unique<Node>(
+          sim_, kind, static_cast<NodeId>(i), root.split(i)));
     }
     if (sim_.metrics_enabled()) {
-      m_rtt_ = &sim_.metrics().summary("msg.request_rtt_cycles");
+      m_rtt_ = &sim_.metrics().summary(kind.rtt_metric);
     }
-    if (sim_.tracing_enabled()) lbl_request_ = sim_.trace_label("msg.request");
+    if (sim_.tracing_enabled()) {
+      lbl_request_ = sim_.trace_label(kind.request_label);
+    }
   }
 
   SystemRunResult run() {
     for (auto& node : nodes_) {
-      sim_.spawn(node_main(*node));
-      sim_.spawn(request_server(*node));
+      if (split_) {
+        for (std::size_t c = 0; c < p_.parallelism; ++c) {
+          sim_.spawn(context(*node, node->rng.split(1000 + c)));
+        }
+        sim_.spawn(receive_loop<&Figure10System::handle_parcel>(*node));
+      } else {
+        sim_.spawn(node_main(*node));
+        sim_.spawn(receive_loop<&Figure10System::serve_one>(*node));
+      }
     }
     sim_.run_until(p_.horizon);
     if (sim_.metrics_enabled()) {
@@ -158,15 +176,30 @@ class MessagePassingSystem {
     SystemRunResult out;
     out.horizon = p_.horizon;
     out.nodes.reserve(nodes_.size());
-    for (auto& node : nodes_) out.nodes.push_back(node->stats);
+    for (auto& node : nodes_) {
+      NodeStats s = node->stats;
+      // Test idle = no ready parcel context: everything the processor was
+      // not doing; the cpu resource integrates busy time exactly.  The
+      // control node accumulates its blocked time as it goes.
+      if (split_) {
+        s.idle_cycles = p_.horizon * (1.0 - node->station.utilization());
+      }
+      out.nodes.push_back(s);
+    }
     return out;
   }
 
  private:
+  using Server = des::Process (Figure10System::*)(Node&, SimMessage);
+
+  // -------------------------------------------------------------------
+  // Control system: conventional blocking message passing (Figure 10 top).
+  // -------------------------------------------------------------------
+
   /// The node's single program thread: compute, access memory, and block
   /// on remote requests ("in this third state, the processor is considered
   /// to be idle").
-  des::Process node_main(ControlNode& n) {
+  des::Process node_main(Node& n) {
     while (true) {
       // Compute run until the next memory access: each op is a load/store
       // with probability ls_mix, so the gap is geometric.
@@ -182,35 +215,23 @@ class MessagePassingSystem {
           co_await des::delay(sim_, p_.t_send);
           n.stats.overhead_cycles += p_.t_send;
         }
-        ++n.stats.remote_requests;
-        const NodeId target = pick_target(n.rng, n.id, p_.nodes);
         des::Trigger reply(sim_);
-        const std::uint64_t span = next_span_++;
-        if (sim_.tracing_enabled()) {
-          sim_.trace(des::TraceKind::kAsyncBegin, lbl_request_, span, n.id);
-        }
-        deliver(n.id, target, SimMessage{n.id, &reply});
         const SimTime blocked_at = sim_.now();
+        const std::uint64_t span = send_request(n, n.rng, reply);
         co_await reply.wait();
-        if (m_rtt_ != nullptr) m_rtt_->add(sim_.now() - blocked_at);
-        if (sim_.tracing_enabled()) {
-          sim_.trace(des::TraceKind::kAsyncEnd, lbl_request_, span, n.id);
-        }
-        n.stats.idle_cycles += sim_.now() - blocked_at;
+        n.stats.idle_cycles += finish_request(n, span, blocked_at);
       } else {
         // Local access: the processor is in the memory-access state for
         // the whole span, including any wait for the (DMA-shared) port.
         // Behind the seam, the banked backend's per-bank FIFO takes over
-        // the arbitration the node's memory Resource models otherwise.
+        // the arbitration the node's memory port models otherwise.
         const SimTime start = sim_.now();
         if (mem_ != nullptr) {
-          co_await mem::AccessAwaitable{*mem_, sim_, n.id,
-                                        next_addr(n.id, n.next_offset),
-                                        mem::AccessKind::kLwpRow};
+          co_await bank_access(n);
         } else {
-          co_await n.memory.acquire();
+          co_await n.station.acquire();
           co_await des::delay(sim_, p_.t_local);
-          n.memory.release();
+          n.station.release();
         }
         n.stats.mem_cycles += sim_.now() - start;
         ++n.stats.local_accesses;
@@ -218,124 +239,30 @@ class MessagePassingSystem {
     }
   }
 
-  /// Services incoming remote requests at the home node's memory port
-  /// without consuming its processor (DMA-style remote access).
-  des::Process request_server(ControlNode& n) {
-    while (true) {
-      const SimMessage msg = co_await n.incoming.receive();
-      sim_.spawn(serve_one(n, msg));
-    }
-  }
-
-  des::Process serve_one(ControlNode& n, SimMessage msg) {
+  /// Services one remote request at the home node's memory port without
+  /// consuming its processor (DMA-style remote access).
+  des::Process serve_one(Node& n, SimMessage msg) {
     if (mem_ != nullptr) {
-      co_await mem::AccessAwaitable{*mem_, sim_, n.id,
-                                    next_addr(n.id, n.next_offset),
-                                    mem::AccessKind::kLwpRow};
+      co_await bank_access(n);
     } else {
-      co_await n.memory.acquire();
+      co_await n.station.acquire();
       co_await des::delay(sim_, p_.t_local);
-      n.memory.release();
+      n.station.release();
     }
     ++n.stats.accesses_served;
-    // Return the reply over the network; it unblocks the requester.
-    des::Trigger* reply = msg.reply;
-    ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg.src, p_.message_bytes,
-         [reply] { reply->fire(); });
+    send_reply(n, msg);
   }
 
-  void deliver(NodeId src, NodeId dst, SimMessage msg) {
-    auto* box = &nodes_[dst]->incoming;
-    ship(sim_, nodes_[src]->nic, p_.nic_gap, net_, src, dst, p_.message_bytes,
-         [box, msg] { box->send(msg); });
-  }
+  // -------------------------------------------------------------------
+  // Test system: parcel-driven split transactions (Figure 10 bottom).
+  // -------------------------------------------------------------------
 
-  SplitTransactionParams p_;
-  const Interconnect& net_;
-  const mem::MemorySystem* mem_;  ///< nullptr: analytic constant path
-  des::Simulation sim_;
-  std::vector<std::unique_ptr<ControlNode>> nodes_;
-  // Observability hooks, bound at construction iff the layer is on.
-  obs::Summary* m_rtt_ = nullptr;
-  des::LabelId lbl_request_ = 0;
-  std::uint64_t next_span_ = 1;  ///< async-span ids for request lifecycles
-};
-
-// ---------------------------------------------------------------------
-// Test system: parcel-driven split transactions (Figure 10 bottom).
-// ---------------------------------------------------------------------
-
-struct TestNode {
-  TestNode(des::Simulation& sim, NodeId node_id, Rng node_rng)
-      : id(node_id),
-        cpu(sim, 1, "pim" + std::to_string(node_id) + ".cpu"),
-        nic(sim, 1, "pim" + std::to_string(node_id) + ".nic"),
-        incoming(sim, "pim" + std::to_string(node_id) + ".in"),
-        rng(node_rng) {}
-
-  NodeId id;
-  des::Resource cpu;
-  des::Resource nic;  ///< injection port (bandwidth ablation)
-  des::Mailbox<SimMessage> incoming;
-  Rng rng;
-  NodeStats stats;
-  std::uint64_t next_offset = 0;  ///< banked memory: address stream cursor
-};
-
-class SplitTransactionSystem {
- public:
-  SplitTransactionSystem(const SplitTransactionParams& params,
-                         const Interconnect& net,
-                         const mem::MemorySystem* memory)
-      : p_(params), net_(net), mem_(memory) {
-    Rng root(p_.seed, /*stream_id=*/0x7E);
-    nodes_.reserve(p_.nodes);
-    for (std::size_t i = 0; i < p_.nodes; ++i) {
-      nodes_.push_back(std::make_unique<TestNode>(
-          sim_, static_cast<NodeId>(i), root.split(i)));
-    }
-    if (sim_.metrics_enabled()) {
-      m_rtt_ = &sim_.metrics().summary("parcel.request_rtt_cycles");
-    }
-    if (sim_.tracing_enabled()) {
-      lbl_request_ = sim_.trace_label("parcel.request");
-    }
-  }
-
-  SystemRunResult run() {
-    for (auto& node : nodes_) {
-      for (std::size_t c = 0; c < p_.parallelism; ++c) {
-        sim_.spawn(context(*node, node->rng.split(1000 + c)));
-      }
-      sim_.spawn(dispatcher(*node));
-    }
-    sim_.run_until(p_.horizon);
-    if (sim_.metrics_enabled()) {
-      net_.collect_metrics(sim_.metrics());
-      if (mem_ != nullptr) mem_->collect_metrics(sim_.metrics());
-    }
-
-    SystemRunResult out;
-    out.horizon = p_.horizon;
-    out.nodes.reserve(nodes_.size());
-    for (auto& node : nodes_) {
-      NodeStats s = node->stats;
-      // Idle = no ready parcel context: everything the processor was not
-      // doing. The cpu resource integrates busy time exactly.
-      s.idle_cycles =
-          p_.horizon * (1.0 - node->cpu.utilization());
-      out.nodes.push_back(s);
-    }
-    return out;
-  }
-
- private:
   /// One parcel context (application thread) of a node. It owns the
   /// processor while running; a remote access emits a parcel and yields
   /// the processor instead of blocking it.
-  des::Process context(TestNode& n, Rng rng) {
+  des::Process context(Node& n, Rng rng) {
     while (true) {
-      co_await n.cpu.acquire();
+      co_await n.station.acquire();
       if (p_.t_switch > 0.0) {
         co_await des::delay(sim_, p_.t_switch);
         n.stats.overhead_cycles += p_.t_switch;
@@ -354,30 +281,19 @@ class SplitTransactionSystem {
             co_await des::delay(sim_, p_.t_send);
             n.stats.overhead_cycles += p_.t_send;
           }
-          ++n.stats.remote_requests;
-          const NodeId target = pick_target(rng, n.id, p_.nodes);
           des::Trigger reply(sim_);
-          const std::uint64_t span = next_span_++;
-          if (sim_.tracing_enabled()) {
-            sim_.trace(des::TraceKind::kAsyncBegin, lbl_request_, span, n.id);
-          }
           const SimTime issued_at = sim_.now();
-          deliver(n.id, target, SimMessage{n.id, &reply});
-          n.cpu.release();  // split transaction: don't hold the processor
+          const std::uint64_t span = send_request(n, rng, reply);
+          n.station.release();  // split transaction: don't hold the processor
           co_await reply.wait();
-          if (m_rtt_ != nullptr) m_rtt_->add(sim_.now() - issued_at);
-          if (sim_.tracing_enabled()) {
-            sim_.trace(des::TraceKind::kAsyncEnd, lbl_request_, span, n.id);
-          }
+          finish_request(n, span, issued_at);
           running = false;  // loop around to re-acquire (pays the switch)
         } else if (mem_ != nullptr) {
           // Banked memory: the context holds the processor while the
           // access (including any bank queueing) is in flight, the same
           // busy-span accounting the control system uses.
           const SimTime start = sim_.now();
-          co_await mem::AccessAwaitable{*mem_, sim_, n.id,
-                                        next_addr(n.id, n.next_offset),
-                                        mem::AccessKind::kLwpRow};
+          co_await bank_access(n);
           n.stats.mem_cycles += sim_.now() - start;
           ++n.stats.local_accesses;
         } else {
@@ -389,49 +305,85 @@ class SplitTransactionSystem {
     }
   }
 
-  /// Turns incoming parcels into processor work at the home node.
-  des::Process dispatcher(TestNode& n) {
-    while (true) {
-      const SimMessage msg = co_await n.incoming.receive();
-      sim_.spawn(handle_parcel(n, msg));
-    }
-  }
-
-  des::Process handle_parcel(TestNode& n, SimMessage msg) {
-    co_await n.cpu.acquire();
+  /// The parcel's action at its home node: a memory access performed on
+  /// the processor on behalf of the parcel.
+  des::Process handle_parcel(Node& n, SimMessage msg) {
+    co_await n.station.acquire();
     if (p_.t_switch > 0.0) {
       co_await des::delay(sim_, p_.t_switch);
       n.stats.overhead_cycles += p_.t_switch;
     }
-    // The action: a memory access performed on behalf of the parcel.
     if (mem_ != nullptr) {
       const SimTime start = sim_.now();
-      co_await mem::AccessAwaitable{*mem_, sim_, n.id,
-                                    next_addr(n.id, n.next_offset),
-                                    mem::AccessKind::kLwpRow};
+      co_await bank_access(n);
       n.stats.mem_cycles += sim_.now() - start;
     } else {
       co_await des::delay(sim_, p_.t_local);
       n.stats.mem_cycles += p_.t_local;
     }
-    n.cpu.release();
+    n.station.release();
     ++n.stats.accesses_served;
-    des::Trigger* reply = msg.reply;
-    ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg.src, p_.message_bytes,
-         [reply] { reply->fire(); });
+    send_reply(n, msg);
   }
 
-  void deliver(NodeId src, NodeId dst, SimMessage msg) {
-    auto* box = &nodes_[dst]->incoming;
-    ship(sim_, nodes_[src]->nic, p_.nic_gap, net_, src, dst, p_.message_bytes,
+  // -------------------------------------------------------------------
+  // Shared by both systems.
+  // -------------------------------------------------------------------
+
+  /// Turns each incoming request into a `Serve` process at the home node.
+  template <Server Serve>
+  des::Process receive_loop(Node& n) {
+    while (true) {
+      const SimMessage msg = co_await n.incoming.receive();
+      sim_.spawn((this->*Serve)(n, msg));
+    }
+  }
+
+  /// One access of `n`'s address stream through the banked memory seam.
+  mem::AccessAwaitable bank_access(Node& n) {
+    return mem::AccessAwaitable{*mem_, sim_, n.id, n.addrs.next(),
+                                mem::AccessKind::kLwpRow};
+  }
+
+  /// Counts a remote request from `n`, opens its trace span and ships it
+  /// to a random other node, whose reply fires `reply`.  Returns the span.
+  std::uint64_t send_request(Node& n, Rng& rng, des::Trigger& reply) {
+    ++n.stats.remote_requests;
+    const NodeId target = pick_target(rng, n.id, p_.nodes);
+    const std::uint64_t span = next_span_++;
+    if (sim_.tracing_enabled()) {
+      sim_.trace(des::TraceKind::kAsyncBegin, lbl_request_, span, n.id);
+    }
+    auto* box = &nodes_[target]->incoming;
+    const SimMessage msg{n.id, &reply};
+    ship(sim_, n.nic, p_.nic_gap, net_, n.id, target, p_.message_bytes,
          [box, msg] { box->send(msg); });
+    return span;
+  }
+
+  /// Closes the request `span` once its reply has woken the requester;
+  /// returns the round trip since `issued_at`.
+  SimTime finish_request(const Node& n, std::uint64_t span, SimTime issued_at) {
+    const SimTime rtt = sim_.now() - issued_at;
+    if (m_rtt_ != nullptr) m_rtt_->add(rtt);
+    if (sim_.tracing_enabled()) {
+      sim_.trace(des::TraceKind::kAsyncEnd, lbl_request_, span, n.id);
+    }
+    return rtt;
+  }
+
+  /// Ships the reply to `msg` back over the network; it wakes the requester.
+  void send_reply(Node& n, SimMessage msg) {
+    ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg.src, p_.message_bytes,
+         [reply = msg.reply] { reply->fire(); });
   }
 
   SplitTransactionParams p_;
+  bool split_;
   const Interconnect& net_;
   const mem::MemorySystem* mem_;  ///< nullptr: analytic constant path
   des::Simulation sim_;
-  std::vector<std::unique_ptr<TestNode>> nodes_;
+  std::vector<std::unique_ptr<Node>> nodes_;
   // Observability hooks, bound at construction iff the layer is on.
   obs::Summary* m_rtt_ = nullptr;
   des::LabelId lbl_request_ = 0;
@@ -465,42 +417,36 @@ std::unique_ptr<mem::MemorySystem> default_memory(
   return mem::make_memory(mc);
 }
 
+SystemRunResult run_system(const SplitTransactionParams& params,
+                           const SystemKind& kind, const Interconnect* net,
+                           const mem::MemorySystem* memory) {
+  params.validate();
+  std::unique_ptr<Interconnect> owned;
+  if (net == nullptr) {
+    owned = default_net(params);
+    net = owned.get();
+  }
+  std::unique_ptr<mem::MemorySystem> owned_mem;
+  if (memory == nullptr) {
+    owned_mem = default_memory(params);
+    memory = owned_mem.get();  // stays nullptr for "analytic"
+  }
+  Figure10System system(params, kind, *net, memory);
+  return system.run();
+}
+
 }  // namespace
 
 SystemRunResult run_split_transaction_system(const SplitTransactionParams& params,
                                              const Interconnect* net,
                                              const mem::MemorySystem* memory) {
-  params.validate();
-  std::unique_ptr<Interconnect> owned;
-  if (net == nullptr) {
-    owned = default_net(params);
-    net = owned.get();
-  }
-  std::unique_ptr<mem::MemorySystem> owned_mem;
-  if (memory == nullptr) {
-    owned_mem = default_memory(params);
-    memory = owned_mem.get();  // stays nullptr for "analytic"
-  }
-  SplitTransactionSystem system(params, *net, memory);
-  return system.run();
+  return run_system(params, kTestSystem, net, memory);
 }
 
 SystemRunResult run_message_passing_system(const SplitTransactionParams& params,
                                            const Interconnect* net,
                                            const mem::MemorySystem* memory) {
-  params.validate();
-  std::unique_ptr<Interconnect> owned;
-  if (net == nullptr) {
-    owned = default_net(params);
-    net = owned.get();
-  }
-  std::unique_ptr<mem::MemorySystem> owned_mem;
-  if (memory == nullptr) {
-    owned_mem = default_memory(params);
-    memory = owned_mem.get();  // stays nullptr for "analytic"
-  }
-  MessagePassingSystem system(params, *net, memory);
-  return system.run();
+  return run_system(params, kControlSystem, net, memory);
 }
 
 ComparisonPoint compare_systems(const SplitTransactionParams& params) {

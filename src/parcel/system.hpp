@@ -3,6 +3,13 @@
 // blocking message-passing nodes (Figure 10), over the same interconnect
 // and the same workload statistics.
 //
+// The two systems share one skeleton (system.cpp): the same node (mailbox,
+// one single-server station, NIC, RNG, stats, address stream), the same
+// request and reply message path, the same memory seam and observability
+// hooks.  They differ only in their node programs — the control node
+// blocks its one thread on a remote access; the test node splits the
+// transaction, yields the processor and runs another parcel context.
+//
 // Both node models run three states the paper defines:
 //   - performing useful operations (1 op per cycle),
 //   - performing local memory access,

@@ -1,8 +1,7 @@
-// Tests for the DRAM macro, banks, and cache models.
+// Tests for the DRAM macro, bank and structural cache models.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "des/process.hpp"
 #include "memory/cache.hpp"
 #include "memory/dram.hpp"
 
@@ -76,75 +75,6 @@ TEST(DramBank, StatsReset) {
   bank.reset_stats();
   EXPECT_EQ(bank.hits() + bank.misses(), 0u);
   EXPECT_DOUBLE_EQ(bank.hit_rate(), 0.0);
-}
-
-TEST(BankedMemory, AddressInterleavingCoversAllBanks) {
-  des::Simulation sim;
-  BankedMemory memory(sim, 4, 4);
-  const std::size_t word_bytes = 256 / 8;
-  EXPECT_EQ(memory.bank_of(0 * word_bytes), 0u);
-  EXPECT_EQ(memory.bank_of(1 * word_bytes), 1u);
-  EXPECT_EQ(memory.bank_of(4 * word_bytes), 0u);
-  EXPECT_EQ(memory.row_of(0), memory.row_of(3 * word_bytes));
-}
-
-TEST(BankedMemory, PortContentionSerializes) {
-  des::Simulation sim;
-  BankedMemory memory(sim, 4, 1);  // one shared port
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(memory.access_for(10.0));
-  }
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 30.0);
-  EXPECT_EQ(memory.accesses(), 3u);
-}
-
-TEST(BankedMemory, FullPortsRunConcurrently) {
-  des::Simulation sim;
-  BankedMemory memory(sim, 4, 4);
-  for (int i = 0; i < 4; ++i) {
-    sim.spawn(memory.access_for(10.0));
-  }
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-}
-
-TEST(BankedMemory, RejectsBadConfig) {
-  des::Simulation sim;
-  EXPECT_THROW(BankedMemory(sim, 0, 1), ConfigError);
-  EXPECT_THROW(BankedMemory(sim, 2, 3), ConfigError);  // ports > banks
-}
-
-TEST(StatCache, MissRateConvergesToPmiss) {
-  StatCache cache(0.1, Rng(3));
-  for (int i = 0; i < 100000; ++i) (void)cache.access();
-  EXPECT_NEAR(cache.observed_miss_rate(), 0.1, 0.005);
-}
-
-TEST(StatCache, BatchedSamplingMatchesPerAccessStatistics) {
-  // Property: misses_among(n) has the same distribution as n access()
-  // calls — compare means and variances over many trials.
-  StatCache per_access(0.1, Rng(5, 1));
-  StatCache batched(0.1, Rng(5, 2));
-  RunningStats per_counts, batch_counts;
-  const std::uint64_t n = 500;
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::uint64_t misses = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      misses += per_access.access() == CacheOutcome::kMiss;
-    }
-    per_counts.add(static_cast<double>(misses));
-    batch_counts.add(static_cast<double>(batched.misses_among(n)));
-  }
-  EXPECT_NEAR(per_counts.mean(), batch_counts.mean(), 1.5);
-  EXPECT_NEAR(per_counts.stddev(), batch_counts.stddev(), 0.5);
-}
-
-TEST(StatCache, DegenerateRates) {
-  StatCache never(0.0, Rng(7));
-  EXPECT_EQ(never.misses_among(1000), 0u);
-  StatCache always(1.0, Rng(7));
-  EXPECT_EQ(always.misses_among(1000), 1000u);
 }
 
 TEST(SetAssocCache, GeometryDerivation) {

@@ -2,6 +2,9 @@
 // message passing (control) versus parcel split transactions (test).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "common/error.hpp"
 #include "analytic/parcel_model.hpp"
 #include "parcel/system.hpp"
@@ -244,6 +247,146 @@ TEST(Comparison, ZeroSwitchCostNeverReverses) {
     p.round_trip_latency = latency;
     EXPECT_GT(compare_systems(p).work_ratio, 0.95) << latency;
   }
+}
+
+
+// Pins every NodeStats field of both Figure 10 systems, bit for bit, at a
+// tiny ring point over memory {analytic, banked} x nic_gap {0, 3} x
+// contention {0, 1}.  The values were taken before the two systems were
+// put on one skeleton; any drift in either node program, the shared
+// message path or the memory seam shows up here.
+struct PinnedNode {
+  double useful_cycles, mem_cycles, overhead_cycles, idle_cycles;
+  std::uint64_t compute_ops, local_accesses, remote_requests, accesses_served;
+};
+
+// Order: system {control, test} x memory {analytic, banked} x
+// nic_gap {0, 3} x contention {0, 1}, four nodes each.
+constexpr PinnedNode kPinnedFigure10[] = {
+    // control, analytic, nic_gap=0, contention=0
+    {396, 1175.0000000000005, 10, 1294, 396, 116, 10, 11},
+    {323, 1075.0000000000002, 11, 1582.6666666666658, 323, 105, 11, 13},
+    {273, 976, 12, 1724, 273, 97, 12, 9},
+    {186, 764.99999999999989, 15, 2015.3333333333342, 186, 75, 15, 14},
+    // control, analytic, nic_gap=0, contention=1
+    {396, 1175.3333333333328, 10, 1294.0000000000007, 396, 116, 10, 11},
+    {323, 1075.3333333333328, 11, 1582.3333333333351, 323, 105, 11, 13},
+    {273, 976, 12, 1724.3333333333344, 273, 97, 12, 9},
+    {186, 764.99999999999989, 15, 2015.6666666666679, 186, 75, 15, 14},
+    // control, analytic, nic_gap=3, contention=0
+    {396, 1171.3333333333339, 10, 1344.666666666667, 396, 116, 10, 11},
+    {314, 1018.3333333333335, 11, 1649.333333333333, 314, 99, 11, 13},
+    {270, 966, 12, 1653.6666666666674, 270, 96, 12, 8},
+    {176, 750, 14, 1950.0000000000002, 176, 74, 14, 13},
+    // control, analytic, nic_gap=3, contention=1
+    {396, 1168, 10, 1344.6666666666674, 396, 116, 10, 11},
+    {314, 1018.3333333333328, 11, 1650.000000000002, 314, 99, 11, 13},
+    {270, 966.00000000000023, 12, 1664.3333333333342, 270, 96, 12, 8},
+    {176, 749.99999999999989, 14, 1950.6666666666679, 176, 74, 14, 13},
+    // control, banked, nic_gap=0, contention=0
+    {242, 1821.6666666666658, 6, 909.33333333333383, 242, 62, 6, 7},
+    {210, 1898.3333333333335, 6, 884.66666666666595, 210, 63, 6, 9},
+    {168, 1731.6666666666665, 7, 1063.333333333333, 168, 67, 7, 6},
+    {139, 1445.6666666666661, 9, 1395.3333333333335, 139, 56, 9, 6},
+    // control, banked, nic_gap=0, contention=1
+    {242, 1821.3333333333339, 6, 909.66666666666697, 242, 62, 6, 7},
+    {210, 1898.3333333333335, 6, 884.66666666666731, 210, 63, 6, 9},
+    {168, 1731.6666666666663, 7, 1063.3333333333344, 168, 67, 7, 6},
+    {139, 1445.666666666667, 9, 1395.3333333333339, 139, 56, 9, 6},
+    // control, banked, nic_gap=3, contention=0
+    {242, 1804.6666666666663, 6, 947.00000000000045, 242, 63, 6, 7},
+    {214, 1830.3333333333335, 6, 929.33333333333303, 214, 68, 6, 8},
+    {159, 1700.6666666666663, 7, 1123.0000000000005, 159, 60, 7, 6},
+    {124, 1524.6666666666663, 9, 1315, 124, 53, 9, 6},
+    // control, banked, nic_gap=3, contention=1
+    {242, 1804.6666666666665, 6, 946.99999999999977, 242, 63, 6, 7},
+    {214, 1830.333333333333, 6, 929.33333333333314, 214, 68, 6, 8},
+    {159, 1700.6666666666658, 7, 1123.0000000000005, 159, 60, 7, 6},
+    {124, 1524.6666666666661, 9, 1315, 124, 53, 9, 6},
+    // test, analytic, nic_gap=0, contention=0
+    {340, 1430, 82, 1139.6666666666667, 340, 133, 20, 10},
+    {448, 1970, 86, 490.66666666666703, 448, 182, 18, 15},
+    {492, 2060, 103, 345, 492, 186, 21, 20},
+    {314, 1730, 101, 848.33333333333337, 314, 149, 17, 24},
+    // test, analytic, nic_gap=0, contention=1
+    {340, 1430, 82, 1139.6666666666674, 340, 133, 20, 10},
+    {448, 1970, 86, 490.66666666666703, 448, 182, 18, 15},
+    {492, 2060, 103, 345, 492, 186, 21, 20},
+    {314, 1730, 101, 848.33333333333439, 314, 149, 17, 24},
+    // test, analytic, nic_gap=3, contention=0
+    {332, 1340, 81, 1239.6666666666665, 332, 123, 19, 11},
+    {448, 1970, 84, 496.66666666666634, 448, 182, 18, 15},
+    {492, 2060, 103, 345, 492, 186, 21, 20},
+    {314, 1730, 101, 853.00000000000034, 314, 149, 17, 24},
+    // test, analytic, nic_gap=3, contention=1
+    {332, 1340, 81, 1239.6666666666679, 332, 123, 19, 11},
+    {448, 1970, 84, 496.66666666666737, 448, 182, 18, 15},
+    {492, 2060, 103, 345, 492, 186, 21, 20},
+    {314, 1730, 101, 853, 314, 149, 17, 24},
+    // test, banked, nic_gap=0, contention=0
+    {87, 977.00000000000011, 36, 1900, 87, 25, 10, 3},
+    {264, 2545.666666666667, 31, 152.33333333333309, 264, 110, 7, 4},
+    {209, 2537.6666666666665, 32, 203.33333333333348, 209, 82, 6, 6},
+    {108, 2224.9999999999995, 41, 626.00000000000034, 108, 59, 7, 10},
+    // test, banked, nic_gap=0, contention=1
+    {87, 977.00000000000011, 36, 1900, 87, 25, 10, 3},
+    {264, 2545.666666666667, 31, 152.33333333333309, 264, 110, 7, 4},
+    {209, 2537.6666666666665, 32, 203.33333333333348, 209, 82, 6, 6},
+    {108, 2224.333333333333, 41, 626.66666666666708, 108, 59, 7, 10},
+    // test, banked, nic_gap=3, contention=0
+    {87, 965.00000000000011, 36, 1912, 87, 25, 10, 3},
+    {264, 2542.666666666667, 31, 155.33333333333309, 264, 110, 7, 4},
+    {209, 2534.6666666666665, 32, 206.33333333333348, 209, 82, 6, 6},
+    {108, 2212.9999999999995, 41, 638.00000000000034, 108, 59, 7, 10},
+    // test, banked, nic_gap=3, contention=1
+    {87, 965.00000000000011, 36, 1912, 87, 25, 10, 3},
+    {264, 2542.666666666667, 31, 155.33333333333309, 264, 110, 7, 4},
+    {209, 2534.6666666666665, 32, 206.33333333333348, 209, 82, 6, 6},
+    {108, 2213, 41, 638, 108, 59, 7, 10},
+};
+
+TEST(Figure10Systems, NodeStatsPinnedBitForBit) {
+  const PinnedNode* want = kPinnedFigure10;
+  for (const bool test_system : {false, true}) {
+    for (const bool banked : {false, true}) {
+      for (const double gap : {0.0, 3.0}) {
+        for (const bool contention : {false, true}) {
+          SplitTransactionParams p;
+          p.nodes = 4;
+          p.parallelism = 3;
+          p.horizon = 3000.0;
+          p.network = "ring";
+          if (banked) {
+            p.memory = "banked";
+            p.mem_banks = 2;
+            p.mem_queue = 1;
+          }
+          p.nic_gap = gap;
+          p.contention = contention;
+          const SystemRunResult r = test_system
+                                        ? run_split_transaction_system(p)
+                                        : run_message_passing_system(p);
+          ASSERT_EQ(r.nodes.size(), 4u);
+          for (std::size_t i = 0; i < r.nodes.size(); ++i, ++want) {
+            const NodeStats& n = r.nodes[i];
+            SCOPED_TRACE(::testing::Message()
+                         << (test_system ? "test" : "control") << " banked="
+                         << banked << " nic_gap=" << gap
+                         << " contention=" << contention << " node=" << i);
+            EXPECT_EQ(n.useful_cycles, want->useful_cycles);
+            EXPECT_EQ(n.mem_cycles, want->mem_cycles);
+            EXPECT_EQ(n.overhead_cycles, want->overhead_cycles);
+            EXPECT_EQ(n.idle_cycles, want->idle_cycles);
+            EXPECT_EQ(n.compute_ops, want->compute_ops);
+            EXPECT_EQ(n.local_accesses, want->local_accesses);
+            EXPECT_EQ(n.remote_requests, want->remote_requests);
+            EXPECT_EQ(n.accesses_served, want->accesses_served);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(want, std::end(kPinnedFigure10));
 }
 
 }  // namespace

@@ -196,8 +196,15 @@ TEST(RunScenario, OutOfRangeValuesThrowNamingKeyAndRangeBeforeGeneration) {
            Case{"fig5", "ops=-1", "ops", "> 0"},
            Case{"multithreading", "ops=-3", "ops", "> 0"},
            Case{"fig5", "maxnodes=-4", "maxnodes", "1..2^20"},
-           Case{"fig5", "threads=-1", "threads", ">= 0"},
+           Case{"fig5", "threads=-1", "threads", "0..2^10"},
+           Case{"fig5", "threads=1025", "threads", "0..2^10"},
+           Case{"fig12", "threads=100000", "threads", "0..2^10"},
            Case{"fig12", "sizes=-1", "sizes", ">= 1"},
+           Case{"fig12", "sizes=1.9", "sizes", ">= 1"},
+           Case{"fig12", "sizes=1,2.5", "sizes", ">= 1"},
+           Case{"fig12", "pars=2.7", "pars", ">= 1"},
+           Case{"fig11", "pars=1.5", "pars", ">= 1"},
+           Case{"memory_contention", "banks=2.5", "banks", ">= 1"},
            Case{"ablation_topology", "nodes=-1", "nodes", ">= 1"},
            Case{"hotspot", "nodes=1", "nodes", ">= 2"},
            Case{"fig12", "horizon=nan", "horizon", "> 0"},

@@ -18,6 +18,12 @@ TEST(SweepRunner, ResolvesThreadCounts) {
   EXPECT_GE(SweepRunner(0).threads(), 1u);  // 0 = hardware concurrency
   EXPECT_EQ(SweepRunner(1).threads(), 1u);
   EXPECT_EQ(SweepRunner(4).threads(), 4u);
+  EXPECT_LE(SweepRunner(0).threads(), kMaxSweepThreads);
+}
+
+TEST(SweepRunner, RejectsThreadCountsAboveTheCapBeforeStartingAny) {
+  EXPECT_THROW(SweepRunner(kMaxSweepThreads + 1), InvalidArgument);
+  EXPECT_THROW(SweepRunner(static_cast<std::size_t>(-1)), InvalidArgument);
 }
 
 TEST(SweepRunner, ForEachVisitsEveryIndexExactlyOnce) {
