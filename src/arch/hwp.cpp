@@ -38,13 +38,13 @@ des::Process Hwp::run(std::uint64_t ops) {
 
 des::Process Hwp::run_trace(std::uint64_t ops, wl::AccessPattern& pattern,
                             mem::SetAssocCache& cache) {
+  const GeometricSampler gap_sampler(params_.ls_mix);
   std::uint64_t remaining = ops;
   while (remaining > 0) {
     // Compute run until the next load/store (geometric in the mix), then
     // one access resolved against the structural cache.
     const std::uint64_t gap =
-        std::min(rng_.geometric(params_.ls_mix),
-                 remaining > 0 ? remaining - 1 : 0);
+        std::min(gap_sampler(rng_), remaining > 0 ? remaining - 1 : 0);
     double cycles = static_cast<double>(gap);
     const bool miss =
         cache.access(pattern.next()) == mem::CacheOutcome::kMiss;

@@ -43,10 +43,11 @@ des::Process Lwp::run_contended(std::uint64_t ops) {
   // it queues at its home bank behind other accessors.  Each run() walks
   // the node's address stream from its start.
   mem::AddressStream addrs(node_);
+  const GeometricSampler gap_sampler(params_.ls_mix);
   std::uint64_t remaining = ops;
   while (remaining > 0) {
     // Length of the compute run until the next memory access.
-    const std::uint64_t gap = rng_.geometric(params_.ls_mix);
+    const std::uint64_t gap = gap_sampler(rng_);
     const std::uint64_t compute = std::min(gap, remaining);
     if (compute > 0) {
       co_await des::delay(sim_, static_cast<double>(compute) * params_.tl_cycle);

@@ -9,12 +9,9 @@ namespace pimsim::arch {
 
 MultithreadedLwp::MultithreadedLwp(des::Simulation& sim,
                                    const SystemParams& params, Rng rng,
-                                   std::size_t threads, double switch_cost,
-                                   const mem::MemorySystem* memory,
-                                   std::size_t node)
+                                   std::size_t threads, double switch_cost)
     : sim_(sim), params_(params), rng_(rng), threads_(threads),
-      switch_cost_(switch_cost), memory_(memory), node_(node), addrs_(node),
-      pipeline_(sim, 1, "mtlwp.pipeline") {
+      switch_cost_(switch_cost), pipeline_(sim, 1, "mtlwp.pipeline") {
   params_.validate();
   require(threads >= 1, "MultithreadedLwp: need at least one thread");
   require(switch_cost >= 0.0,
@@ -34,6 +31,7 @@ des::Process MultithreadedLwp::run(std::uint64_t ops) {
 
 des::Process MultithreadedLwp::thread_body(std::uint64_t ops, Rng rng,
                                            des::CountdownLatch& done) {
+  const GeometricSampler gap_sampler(params_.ls_mix);
   std::uint64_t remaining = ops;
   while (remaining > 0) {
     co_await pipeline_.acquire();
@@ -42,8 +40,8 @@ des::Process MultithreadedLwp::thread_body(std::uint64_t ops, Rng rng,
       counts_.busy_cycles += switch_cost_;
     }
     // Compute run until the next memory access (geometric in the mix).
-    const std::uint64_t gap = std::min(rng.geometric(params_.ls_mix),
-                                       remaining > 0 ? remaining - 1 : 0);
+    const std::uint64_t gap =
+        std::min(gap_sampler(rng), remaining > 0 ? remaining - 1 : 0);
     if (gap > 0) {
       const double cycles = static_cast<double>(gap) * params_.tl_cycle;
       co_await des::delay(sim_, cycles);
@@ -54,17 +52,7 @@ des::Process MultithreadedLwp::thread_body(std::uint64_t ops, Rng rng,
     // The access itself: issue, then stall *off* the pipeline so other
     // threads can run (the row-buffer access is overlappable).
     pipeline_.release();
-    if (memory_ != nullptr && memory_->contended()) {
-      // One stream per node: the threads share the node's row buffer.
-      co_await mem::AccessAwaitable{*memory_, sim_, node_, addrs_.next(),
-                                    mem::AccessKind::kLwpRow};
-    } else {
-      co_await des::delay(sim_,
-                          memory_ == nullptr
-                              ? params_.t_ml
-                              : memory_->zero_load_latency(
-                                    mem::AccessKind::kLwpRow));
-    }
+    co_await des::delay(sim_, params_.t_ml);
     counts_.ops += 1;
     counts_.mem_ops += 1;
     remaining -= 1;

@@ -17,7 +17,6 @@
 #include "des/process.hpp"
 #include "des/resource.hpp"
 #include "des/simulation.hpp"
-#include "memory/memory_system.hpp"
 
 namespace pimsim::arch {
 
@@ -25,13 +24,10 @@ class MultithreadedLwp {
  public:
   /// A node with `threads` contexts; switching costs `switch_cost` HWP
   /// cycles whenever a different context takes the pipeline (K >= 2).
-  /// The off-pipeline row-buffer stall goes through the MemorySystem
-  /// seam when `memory` is wired (issued from `node`); nullptr charges
-  /// the Table 1 TML constant directly, as the paper assumes.
+  /// The off-pipeline row-buffer stall is the Table 1 TML constant, as
+  /// the paper assumes (no bank conflicts).
   MultithreadedLwp(des::Simulation& sim, const SystemParams& params, Rng rng,
-                   std::size_t threads, double switch_cost,
-                   const mem::MemorySystem* memory = nullptr,
-                   std::size_t node = 0);
+                   std::size_t threads, double switch_cost);
 
   /// Coroutine that executes `ops` operations split evenly across the
   /// node's thread contexts; completes when the slowest thread finishes.
@@ -51,9 +47,6 @@ class MultithreadedLwp {
   Rng rng_;
   std::size_t threads_;
   double switch_cost_;
-  const mem::MemorySystem* memory_;
-  std::size_t node_;
-  mem::AddressStream addrs_;  ///< contended path: the node's address stream
   des::Resource pipeline_;
   OpCounts counts_;
 };

@@ -50,11 +50,11 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
   return d(engine_);
 }
 
-std::uint64_t Rng::geometric(double p) {
-  require(p > 0.0 && p <= 1.0, "Rng::geometric: p must be in (0,1]");
-  if (p == 1.0) return 0;
-  std::geometric_distribution<std::uint64_t> d(p);
-  return d(engine_);
+std::uint64_t Rng::geometric(double p) { return GeometricSampler(p)(*this); }
+
+GeometricSampler::GeometricSampler(double p)
+    : log_1_p_(std::log(1.0 - p)), certain_(p == 1.0) {
+  require(p > 0.0 && p <= 1.0, "GeometricSampler: p must be in (0,1]");
 }
 
 double Rng::exponential(double mean) {

@@ -9,7 +9,9 @@
 // the standard <random> distributions can run on top of it.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 
 namespace pimsim {
@@ -89,6 +91,7 @@ class Rng {
   /// Number of successes in n Bernoulli(p) trials (exact distribution).
   std::uint64_t binomial(std::uint64_t n, double p);
   /// Geometric number of failures before first success, support {0,1,...}.
+  /// One-off form of GeometricSampler(p); hold a sampler for a fixed p.
   std::uint64_t geometric(double p);
   /// Exponential variate with the given mean.
   double exponential(double mean);
@@ -105,6 +108,48 @@ class Rng {
   explicit Rng(Derived derived) : engine_(derived.value), base_(derived.value) {}
   Xoshiro256pp engine_;
   std::uint64_t base_;
+};
+
+/// Geometric draws for one fixed p: failures before the first success,
+/// support {0, 1, ...}.  It computes log(1 - p) once.  Each draw writes out
+/// libstdc++ 12's std::geometric_distribution: a canonical U in [0, 1)
+/// from one 64-bit engine output (generate_canonical<double, 53>), then
+/// floor(log(1 - U) / log(1 - p)), redrawn while it is past the u64
+/// range and rounded with the same half-ulp offset.  Its draws are
+/// bit-identical to that distribution's, and outside the engine they
+/// depend on libm's log only.  The division stays: multiplying by a
+/// precomputed reciprocal is not bit-identical.  p = 1 returns 0 without
+/// consuming a draw.
+class GeometricSampler {
+ public:
+  /// Requires p in (0, 1].
+  explicit GeometricSampler(double p);
+
+  std::uint64_t operator()(Rng& rng) const {
+    if (certain_) return 0;
+    // libstdc++'s rounding offset (1 - eps) / 2, and the largest double
+    // it converts to the result type.
+    constexpr double kNaf = (1.0 - std::numeric_limits<double>::epsilon()) / 2;
+    constexpr double kThreshold =
+        static_cast<double>(std::numeric_limits<std::uint64_t>::max()) + kNaf;
+    double candidate;
+    do {
+      candidate = std::floor(std::log(1.0 - canonical(rng.engine()())) /
+                             log_1_p_);
+    } while (candidate >= kThreshold);
+    return static_cast<std::uint64_t>(candidate + kNaf);
+  }
+
+ private:
+  /// generate_canonical<double, 53> over a 64-bit engine: the output
+  /// rounded to double, scaled by 2^-64 (exact), and held below 1.
+  static double canonical(std::uint64_t bits) {
+    const double u = static_cast<double>(bits) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
+  }
+
+  double log_1_p_;
+  bool certain_;  // p == 1
 };
 
 }  // namespace pimsim

@@ -1,11 +1,10 @@
 // Type-erased one-shot event callback for the simulation kernel.
 //
 // EventAction is a small tagged union replacing the std::function the
-// calendar used to store per event.  The three payload kinds cover the
-// kernel's traffic without touching the heap on the hot paths:
+// calendar used to store per event.  Its payload kinds cover the
+// kernel's slot-backed traffic without touching the heap on the hot
+// paths:
 //
-//  * kResume — a raw coroutine handle.  resume_soon()/delay()/mailbox
-//    wake-ups all reduce to this: 8 bytes, no construction cost.
 //  * kSmall  — an arbitrary callable move-constructed into a
 //    kInlineSize-byte (32) inline buffer (covers every lambda the
 //    library schedules, including the parcel transport thunk that owns
@@ -17,13 +16,17 @@
 //    the packet network's link-advance/arrive events: no ops table, no
 //    relocation, the payload is invoked directly from the inline buffer.
 //
+// Coroutine resumes (delay(), mailbox and resource wake-ups, triggers,
+// spawns) are not EventActions at all: the calendar entry itself holds
+// the frame address, and dispatch resumes it directly.  Kind id 1
+// (kResumeKind) still names them in the audit chain and the profiler.
+//
 // Invoking consumes the action: the callable is relocated to the caller's
 // stack before it runs, so a callback may freely schedule new events even
 // when that reallocates the slot pool that used to hold it.  Oversized
 // callables (> kInlineSize) transparently fall back to a heap box.
 #pragma once
 
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -54,13 +57,8 @@ class EventAction {
   EventAction& operator=(const EventAction&) = delete;
   ~EventAction() { reset(); }
 
-  /// The coroutine-resume fast path: no payload beyond the handle.
-  static EventAction resume(std::coroutine_handle<> h) noexcept {
-    EventAction a;
-    a.kind_ = Kind::kResume;
-    a.storage_.pointer = h.address();
-    return a;
-  }
+  /// Kind id of a calendar resume entry, which carries no EventAction.
+  static constexpr std::uint8_t kResumeKind = 1;
 
   /// Plain-function event with two word-sized payloads — the dedicated
   /// form for hot homogeneous event streams (link advances, arrivals).
@@ -102,7 +100,7 @@ class EventAction {
   explicit operator bool() const noexcept { return kind_ != Kind::kEmpty; }
 
   /// Stable small integer identifying the payload kind (0 = empty,
-  /// 1 = resume, 2 = small, 3 = boxed, 4 = static).  Fed into the audit
+  /// 2 = small, 3 = boxed, 4 = static; 1 is kResumeKind).  Fed into the audit
   /// hash chain so two runs dispatching different action kinds at the
   /// same (time, seq) still diverge.
   [[nodiscard]] std::uint8_t kind_id() const noexcept {
@@ -114,9 +112,7 @@ class EventAction {
     const Kind kind = std::exchange(kind_, Kind::kEmpty);
     switch (kind) {
       case Kind::kEmpty:
-        return;
       case Kind::kResume:
-        std::coroutine_handle<>::from_address(storage_.pointer).resume();
         return;
       case Kind::kSmall:
         ops_->invoke(storage_.inline_buf);
@@ -145,7 +141,9 @@ class EventAction {
   }
 
  private:
+  // kResume is never stored; it keeps the numbering of the ids above.
   enum class Kind : std::uint8_t { kEmpty, kResume, kSmall, kBoxed, kStatic };
+  static_assert(static_cast<std::uint8_t>(Kind::kResume) == kResumeKind);
 
   struct Ops {
     void (*invoke)(void* self);   // run, then destroy the stored callable
@@ -184,7 +182,6 @@ class EventAction {
       case Kind::kSmall:
         ops_->relocate(other.storage_.inline_buf, storage_.inline_buf);
         break;
-      case Kind::kResume:
       case Kind::kBoxed:
         storage_.pointer = other.storage_.pointer;
         break;
@@ -192,6 +189,7 @@ class EventAction {
         storage_.static_call = other.storage_.static_call;
         break;
       case Kind::kEmpty:
+      case Kind::kResume:
         break;
     }
   }
@@ -205,7 +203,7 @@ class EventAction {
   static_assert(sizeof(StaticCall) <= kInlineSize);
 
   union Storage {
-    void* pointer;  // kResume: coroutine frame; kBoxed: heap callable
+    void* pointer;  // kBoxed: heap callable
     StaticCall static_call;  // kStatic: fn + ctx + payload, trivially copyable
     alignas(std::max_align_t) std::byte inline_buf[kInlineSize];
   };

@@ -9,12 +9,12 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
+#include "des/fifo.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
@@ -34,8 +34,7 @@ class Mailbox {
 
     bool await_ready() {
       if (box_.items_.empty()) return false;
-      slot_ = std::move(box_.items_.front());
-      box_.items_.pop_front();
+      slot_ = box_.items_.pop_front();
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
@@ -61,15 +60,14 @@ class Mailbox {
 
   /// Deposits a message; wakes the oldest waiting receiver, if any.
   /// Allocation-free when a receiver is waiting: the message moves
-  /// straight into the receiver's frame and the wake-up is a raw
-  /// coroutine-resume calendar entry (EventAction kResume).
+  /// straight into the receiver's frame and the wake-up is a
+  /// coroutine-resume calendar entry, which takes no event slot.
   void send(T value) {
     // tracing_enabled() first: trace() itself is an inline branch, but
     // the lazy label interning is not free on a path this hot.
     if (sim_.tracing_enabled()) sim_.trace(TraceKind::kMailboxSend, trace_label());
     if (!waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      const Waiter w = waiters_.pop_front();
       *w.slot = std::move(value);
       sim_.resume_soon(w.handle);
     } else {
@@ -83,9 +81,7 @@ class Mailbox {
   /// Non-blocking receive.
   [[nodiscard]] std::optional<T> try_receive() {
     if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
+    return items_.pop_front();
   }
 
   [[nodiscard]] std::size_t pending() const { return items_.size(); }
@@ -108,8 +104,8 @@ class Mailbox {
   Simulation& sim_;
   std::string name_;
   mutable LabelId trace_label_ = kLabelUninterned;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  Fifo<T> items_;
+  Fifo<Waiter> waiters_;
 };
 
 }  // namespace pimsim::des

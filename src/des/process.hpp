@@ -18,9 +18,18 @@
 //    body finishes or when the Simulation is destroyed;
 //  * exceptions escaping a process body are captured and rethrown from
 //    Simulation::run()/run_until()/step().
+//
+// Frames come from a per-thread size-class free list (frame_alloc /
+// frame_free), so a spawn costs no heap allocation once the thread has
+// freed a frame of that size.  A frame may be freed on any thread; its
+// block joins that thread's list.  The lists are returned to the heap
+// when their thread exits, and a frame freed after that goes straight to
+// ::operator delete.  Completion state for join() is allocated only when
+// join() is called.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -31,13 +40,19 @@
 
 namespace pimsim::des {
 
+/// Process frame storage: a block of at least `size` bytes from the
+/// calling thread's free list for that size class, or the heap when the
+/// list is empty (or `size` is above the largest class).
+void* frame_alloc(std::size_t size);
+/// Returns a block from frame_alloc(size) to the calling thread's list.
+void frame_free(void* block, std::size_t size) noexcept;
+
 /// Handle to a coroutine-based model process (move-only).
 class Process {
  public:
-  /// Completion state shared between the frame, joiners, and this handle.
+  /// Completion state shared between the frame and join() awaitables;
+  /// created by the first join().
   struct State {
-    Simulation* sim = nullptr;
-    bool spawned = false;
     bool done = false;
     std::vector<std::coroutine_handle<>> joiners;
   };
@@ -50,36 +65,41 @@ class Process {
     void await_suspend(handle_type h) noexcept {
       // The frame is suspended at its final point: mark completion, wake
       // joiners through the calendar, then free the frame.
-      auto state = h.promise().state;
-      state->done = true;
-      if (state->sim != nullptr) {
-        for (auto j : state->joiners) state->sim->resume_soon(j);
-        state->joiners.clear();
-        state->sim->unregister_process(h.promise().live_pos);
+      promise_type& promise = h.promise();
+      if (promise.state) {
+        promise.state->done = true;
+        for (auto j : promise.state->joiners) promise.sim->resume_soon(j);
+        promise.state->joiners.clear();
       }
+      promise.sim->unregister_process(promise.live_pos);
       h.destroy();
     }
     void await_resume() const noexcept {}
   };
 
   struct promise_type {
-    std::shared_ptr<State> state = std::make_shared<State>();
+    /// The owning simulation, set by spawn (a frame runs only once
+    /// spawned).
+    Simulation* sim = nullptr;
+    /// Join state, or null while nobody has called join().
+    std::shared_ptr<State> state;
     /// Index of this frame in the Simulation's live-process registry,
     /// kept current by the kernel (see Simulation::register_process).
     std::size_t live_pos = 0;
 
+    static void* operator new(std::size_t size) { return frame_alloc(size); }
+    static void operator delete(void* frame, std::size_t size) noexcept {
+      frame_free(frame, size);
+    }
+
     Process get_return_object() {
-      return Process(handle_type::from_promise(*this), state);
+      return Process(handle_type::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     FinalAwaiter final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() {
-      if (state->sim != nullptr) {
-        state->sim->set_pending_exception(std::current_exception());
-      } else {
-        std::rethrow_exception(std::current_exception());
-      }
+      sim->set_pending_exception(std::current_exception());
     }
   };
 
@@ -99,13 +119,11 @@ class Process {
   };
 
   Process(Process&& other) noexcept
-      : handle_(std::exchange(other.handle_, nullptr)),
-        state_(std::move(other.state_)) {}
+      : handle_(std::exchange(other.handle_, nullptr)) {}
   Process& operator=(Process&& other) noexcept {
     if (this != &other) {
       destroy_if_unspawned();
       handle_ = std::exchange(other.handle_, nullptr);
-      state_ = std::move(other.state_);
     }
     return *this;
   }
@@ -113,32 +131,33 @@ class Process {
   Process& operator=(const Process&) = delete;
   ~Process() { destroy_if_unspawned(); }
 
-  /// True once the body has run to completion.
-  [[nodiscard]] bool done() const { return state_ && state_->done; }
-
-  /// Awaitable that completes when the process body finishes.
-  /// Valid both before and after the process is spawned.
-  [[nodiscard]] JoinAwaitable join() const { return JoinAwaitable(state_); }
+  /// Awaitable that completes when the process body finishes.  Call it
+  /// before spawning; the awaitable stays valid after the process ends.
+  [[nodiscard]] JoinAwaitable join() const {
+    ensure(static_cast<bool>(handle_),
+           "Process::join: the process was already spawned or moved");
+    std::shared_ptr<State>& state = handle_.promise().state;
+    if (!state) state = std::make_shared<State>();
+    return JoinAwaitable(state);
+  }
 
   /// Used by Simulation::spawn: transfers frame ownership to the kernel.
   handle_type release_for_spawn(Simulation& sim) {
-    state_->sim = &sim;
-    state_->spawned = true;
+    handle_.promise().sim = &sim;
     sim.register_process(handle_, handle_.promise().live_pos);
     return std::exchange(handle_, nullptr);
   }
 
  private:
-  Process(handle_type h, std::shared_ptr<State> state)
-      : handle_(h), state_(std::move(state)) {}
+  explicit Process(handle_type h) : handle_(h) {}
 
+  /// Still holding the frame means it was never spawned: nothing ran.
   void destroy_if_unspawned() {
-    if (handle_ && state_ && !state_->spawned) handle_.destroy();
+    if (handle_) handle_.destroy();
     handle_ = nullptr;
   }
 
   handle_type handle_ = nullptr;
-  std::shared_ptr<State> state_;
 };
 
 /// Awaitable that advances the awaiting process by `delay` cycles.
@@ -147,9 +166,8 @@ class [[nodiscard]] DelayAwaitable {
   DelayAwaitable(Simulation& sim, Cycles delay) : sim_(sim), delay_(delay) {}
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    // Allocation-free: the calendar stores the raw handle (EventAction
-    // kResume), not a functor wrapping it.
-    (void)sim_.resume_in(delay_, h);
+    // Allocation-free: the calendar entry holds the frame address.
+    sim_.resume_in(delay_, h);
   }
   void await_resume() const noexcept {}
 
@@ -168,7 +186,9 @@ class [[nodiscard]] DelayAwaitable {
   return DelayAwaitable(sim, 0.0);
 }
 
-/// Broadcast trigger: processes co_await wait(); fire() wakes all of them.
+/// Broadcast trigger: processes co_await wait(); fire() wakes all of them,
+/// in wait order.  The first waiter is held inline, so a trigger with one
+/// waiter (a request awaiting its reply) never allocates.
 class Trigger {
  public:
   explicit Trigger(Simulation& sim) : sim_(sim) {}
@@ -178,7 +198,11 @@ class Trigger {
     explicit WaitAwaitable(Trigger& trigger) : trigger_(trigger) {}
     bool await_ready() const noexcept { return trigger_.fired_; }
     void await_suspend(std::coroutine_handle<> h) {
-      trigger_.waiters_.push_back(h);
+      if (trigger_.first_) {
+        trigger_.rest_.push_back(h);
+      } else {
+        trigger_.first_ = h;
+      }
     }
     void await_resume() const noexcept {}
 
@@ -194,18 +218,24 @@ class Trigger {
   /// pass straight through; reset() re-arms the trigger.
   void fire(bool latch = true) {
     fired_ = latch;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) sim_.resume_soon(h);
+    // Scheduling a wake-up runs no model code, so nothing can wait on
+    // this trigger while the waiters are handed over.
+    if (!first_) return;  // rest_ fills only behind first_
+    sim_.resume_soon(std::exchange(first_, nullptr));
+    for (auto h : rest_) sim_.resume_soon(h);
+    rest_.clear();
   }
 
   void reset() { fired_ = false; }
-  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
+  [[nodiscard]] std::size_t waiting() const {
+    return first_ ? 1 + rest_.size() : 0;
+  }
 
  private:
   Simulation& sim_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;               // the oldest waiter
+  std::vector<std::coroutine_handle<>> rest_;   // later waiters, in order
 };
 
 /// Spawns `p` and returns an awaitable for its completion:

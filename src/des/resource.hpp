@@ -8,11 +8,11 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <string>
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "des/fifo.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
@@ -88,7 +88,7 @@ class Resource {
   std::size_t in_use_ = 0;
   std::string name_;
   mutable LabelId trace_label_ = kLabelUninterned;
-  std::deque<Waiter> queue_;
+  Fifo<Waiter> queue_;
   TimeWeighted busy_;
   TimeWeighted queued_;
   RunningStats wait_;

@@ -123,7 +123,7 @@ void Simulation::release_slot(std::uint32_t index) {
   if (++slot.generation == 0) slot.generation = 1;  // 0 is the id sentinel
   slot.next_free = free_head_;
   free_head_ = index;
-  --live_events_;
+  --live_slots_;
 }
 
 bool Simulation::cancel(EventId id) {
@@ -222,7 +222,7 @@ void Simulation::compact_calendar() {
   std::size_t removed = 0;
   std::size_t keep = 0;
   for (const CalendarEntry& entry : heap_) {
-    if (slots_[entry.slot].generation == entry.gen) {
+    if (live(entry.ref())) {
       heap_[keep++] = entry;
     } else {
       ++removed;
@@ -242,7 +242,7 @@ void Simulation::compact_calendar() {
     for (std::uint32_t node = wheel_head_[bucket]; node != kNoSlot;) {
       CalendarEntry& entry = wheel_nodes_[node];
       const std::uint32_t next = entry.next;
-      if (slots_[entry.slot].generation == entry.gen) {
+      if (live(entry.ref())) {
         if (tail == kNoSlot) {
           wheel_head_[bucket] = node;
         } else {
@@ -269,7 +269,7 @@ void Simulation::compact_calendar() {
   std::size_t write = 0;
   for (std::size_t read = now_head_; read < now_queue_.size(); ++read) {
     const NowEntry& entry = now_queue_[read];
-    if (slots_[entry.slot].generation == entry.gen) {
+    if (live(entry.ref)) {
       now_queue_[write++] = entry;
     } else {
       ++removed;
@@ -320,23 +320,24 @@ bool Simulation::pop_next(CalendarEntry& out, bool bounded, SimTime horizon) {
                              static_cast<std::ptrdiff_t>(now_head_));
         now_head_ = 0;
       }
-      if (slots_[entry.slot].generation != entry.gen) {
+      if (!live(entry.ref)) {
         --stale_;
         continue;
       }
-      out = CalendarEntry{calendar_key(now_, entry.seq), entry.slot, entry.gen};
+      out = CalendarEntry{calendar_key(now_, entry.seq), entry.ref.bits,
+                          kNoSlot, entry.ref.resume};
       return true;
     }
     if (front == nullptr) return false;
     const CalendarEntry entry = *front;
-    const bool live = slots_[entry.slot].generation == entry.gen;
-    if (live && bounded && entry.time() > horizon) return false;
+    const bool is_live = live(entry.ref());
+    if (is_live && bounded && entry.time() > horizon) return false;
     if (bucket == kWheelBuckets) {
       heap_pop_top();
     } else {
       wheel_pop(bucket);
     }
-    if (!live) {
+    if (!is_live) {
       --stale_;
       continue;
     }
@@ -346,11 +347,6 @@ bool Simulation::pop_next(CalendarEntry& out, bool bounded, SimTime horizon) {
 }
 
 void Simulation::dispatch(const CalendarEntry& entry) {
-  // Relocate the action out of the pool and retire the slot before
-  // invoking: the callback may schedule (growing/reusing the pool) or
-  // cancel, and must observe this event as already dispatched.
-  EventAction action = std::move(slots_[entry.slot].action);
-  release_slot(entry.slot);
   // Calendar corruption that survives pop_next's merge still surfaces
   // as an out-of-order dispatch; in audit mode that is fatal, not silent.
   if (audit_) {
@@ -364,45 +360,61 @@ void Simulation::dispatch(const CalendarEntry& entry) {
   if (now_ >= wheel_base_ + 1.0) wheel_advance();
   current_seq_ = entry.seq();
   ++dispatched_;
-  if (tracer_) {
-    const EventId id =
-        (static_cast<EventId>(entry.gen) << 32) | static_cast<EventId>(entry.slot);
-    trace(TraceKind::kEventDispatched, lbl_event_, id);
-  }
-  if (audit_) {
-    audit_->record(now_, current_seq_, action.kind_id());
-    if (audit_countdown_ == 0) {
-      audit_check_now();
-      // Next sweep after ~pool-size events: the sweep is O(slots +
-      // calendar), so the audit tax stays O(1) amortized per dispatch.
-      audit_countdown_ = std::max<std::uint64_t>(kAuditCheckFloor,
-                                                 slots_.size());
+  if (entry.resume) {
+    // A resume owns no slot and no EventAction: resume the frame directly.
+    --live_resumes_;
+    const std::coroutine_handle<> h = entry.ref().handle();
+    if (tracer_) trace(TraceKind::kEventDispatched, lbl_event_, 0);
+    if (audit_) audit_dispatch(EventAction::kResumeKind);
+    if (profiler_) {
+      dispatch_profiled(EventAction::kResumeKind, [h] { h.resume(); });
     } else {
-      --audit_countdown_;
+      h.resume();
     }
-  }
-  if (profiler_) {
-    dispatch_profiled(action);
   } else {
-    action.invoke();
+    // Relocate the action out of the pool and retire the slot before
+    // invoking: the callback may schedule (growing/reusing the pool) or
+    // cancel, and must observe this event as already dispatched.
+    EventAction action = std::move(slots_[entry.ref().slot()].action);
+    release_slot(entry.ref().slot());
+    if (tracer_) trace(TraceKind::kEventDispatched, lbl_event_, entry.bits);
+    if (audit_) audit_dispatch(action.kind_id());
+    if (profiler_) {
+      dispatch_profiled(action.kind_id(), [&action] { action.invoke(); });
+    } else {
+      action.invoke();
+    }
   }
   current_seq_ = 0;  // outside dispatch the documented value is 0
 }
 
-void Simulation::dispatch_profiled(EventAction& action) {
+void Simulation::audit_dispatch(std::uint8_t kind) {
+  audit_->record(now_, current_seq_, kind);
+  if (audit_countdown_ == 0) {
+    audit_check_now();
+    // Next sweep after ~pool-size events: the sweep is O(slots +
+    // calendar), so the audit tax stays O(1) amortized per dispatch.
+    audit_countdown_ =
+        std::max<std::uint64_t>(kAuditCheckFloor, slots_.size());
+  } else {
+    --audit_countdown_;
+  }
+}
+
+template <typename Run>
+void Simulation::dispatch_profiled(std::uint8_t kind, Run run) {
   // Counts are exact; wall time is sampled (one steady_clock pair every
   // kSampleEvery dispatches, attributed to that dispatch's kind) so the
   // timer cost is amortized to noise.  steady_clock measures wall time
   // only — it never feeds model state, so determinism is unaffected.
-  const std::uint8_t kind = action.kind_id();
   profiler_->count(kind);
   if (profiler_->sample_due()) {
     const auto t0 = std::chrono::steady_clock::now();
-    action.invoke();
+    run();
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
     profiler_->record_sample(kind, dt.count());
   } else {
-    action.invoke();
+    run();
   }
 }
 
@@ -454,6 +466,14 @@ void Simulation::set_audit(bool enabled) {
 }
 
 void Simulation::audit_check_now() const {
+  // Resumes are never stale, so the calendar holds exactly one entry per
+  // pending resume; the count is taken over the heap, the wheel and the
+  // lane.
+  std::size_t resumes = 0;
+  for (const CalendarEntry& entry : heap_) resumes += entry.resume ? 1 : 0;
+  for (std::size_t i = now_head_; i < now_queue_.size(); ++i) {
+    resumes += now_queue_[i].ref.resume ? 1 : 0;
+  }
   // 4-ary heap order: every entry's key must not precede its parent's.
   for (std::size_t i = 1; i < heap_.size(); ++i) {
     const std::size_t parent = (i - 1) / kHeapArity;
@@ -483,6 +503,7 @@ void Simulation::audit_check_now() const {
              "Simulation audit: wheel entry outside its bucket's cycle");
       ensure(last == kNoSlot || before(wheel_nodes_[last], wheel_nodes_[node]),
              "Simulation audit: wheel bucket order violated");
+      resumes += wheel_nodes_[node].resume ? 1 : 0;
       last = node;
     }
     ensure(wheel_tail_[bucket] == last,
@@ -490,6 +511,8 @@ void Simulation::audit_check_now() const {
   }
   ensure(listed == wheel_count_,
          "Simulation audit: wheel count disagrees with its bucket lists");
+  ensure(resumes == live_resumes_,
+         "Simulation audit: pending resumes disagree with the calendar");
   // Wheel node pool: the freelist accounts for every node not listed.
   std::size_t free_nodes = 0;
   for (std::uint32_t node = wheel_free_; node != kNoSlot;
@@ -502,7 +525,7 @@ void Simulation::audit_check_now() const {
   ensure(free_nodes + wheel_count_ == wheel_nodes_.size(),
          "Simulation audit: wheel node accounting mismatch");
   // Slot pool: the free list must be acyclic, in range, and account for
-  // exactly the slots that live_events_ does not.
+  // exactly the slots that live slot-backed events do not hold.
   std::size_t free_count = 0;
   for (std::uint32_t index = free_head_; index != kNoSlot;
        index = slots_[index].next_free) {
@@ -511,7 +534,7 @@ void Simulation::audit_check_now() const {
     ensure(++free_count <= slots_.size(),
            "Simulation audit: free-list cycle");
   }
-  ensure(free_count + live_events_ == slots_.size(),
+  ensure(free_count + live_slots_ == slots_.size(),
          "Simulation audit: slot accounting mismatch (free + live != pool)");
   for (const Slot& slot : slots_) {
     ensure(slot.generation != 0,

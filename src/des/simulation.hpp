@@ -15,9 +15,11 @@
 // scheduling order, so a model that uses only Simulation-provided
 // primitives and pimsim::Rng streams is bit-reproducible.
 //
-// Internals (see README "The calendar"): events live in a
-// generation-tagged slot pool.  Calendar entries are (time, seq, slot,
-// generation) records kept in three queues that pop_next merges by key:
+// Internals (see README "The calendar"): callback events live in a
+// generation-tagged slot pool; coroutine resumes live in the calendar
+// entry itself.  Calendar entries are (time, seq, slot and generation or
+// coroutine frame) records kept in three queues that pop_next merges by
+// key:
 //   * the immediate lane, a FIFO of events scheduled exactly at now();
 //   * a 256-bucket wheel of one-cycle FIFO lists covering
 //     [floor(last dispatch time), +256), which takes every entry whose key
@@ -27,8 +29,9 @@
 // cancel() bumps the slot's generation in O(1) and leaves a stale entry
 // behind, which dispatch skips lazily and a compaction pass reclaims
 // whenever stale entries outnumber live ones.  Callbacks are EventAction
-// tagged unions, so the coroutine-resume paths (resume_soon / delay /
-// mailbox wake-ups) never touch the heap allocator.
+// tagged unions; the coroutine-resume paths (resume_soon / delay /
+// mailbox wake-ups) take no slot at all: they cannot be cancelled, so
+// their entries are always live and dispatch resumes the frame directly.
 #pragma once
 
 #include <array>
@@ -106,8 +109,11 @@ class Simulation {
 
   /// Number of events dispatched so far (diagnostic).
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
-  /// Number of live (schedulable, not cancelled) events currently pending.
-  [[nodiscard]] std::size_t events_pending() const { return live_events_; }
+  /// Number of live (schedulable, not cancelled) events currently pending,
+  /// coroutine resumes included.
+  [[nodiscard]] std::size_t events_pending() const {
+    return live_slots_ + live_resumes_;
+  }
   /// Calendar entries (wheel + heap + immediate lane), including stale
   /// ones awaiting lazy removal.  Bounded at < 2x events_pending() +
   /// compaction floor (leak diagnostic).
@@ -257,21 +263,22 @@ class Simulation {
   }
 
   // --- internal hooks used by the process layer (see process.hpp) ---
+  //
+  // A resume takes a seq like any event but no slot: the calendar entry
+  // holds the frame address, and it cannot be cancelled, so no id is
+  // returned.  Traced resumes carry id 0.
 
   /// Schedules resumption of a suspended coroutine at absolute time `at`.
-  /// Allocation-free: the calendar stores the raw handle.
-  EventId resume_at(SimTime at, std::coroutine_handle<> h) {
-    return schedule_action(at, EventAction::resume(h));
+  void resume_at(SimTime at, std::coroutine_handle<> h) {
+    schedule_resume(at, h);
   }
   /// Schedules resumption after `delay` cycles (the delay() fast path).
-  EventId resume_in(Cycles delay, std::coroutine_handle<> h) {
+  void resume_in(Cycles delay, std::coroutine_handle<> h) {
     ensure(delay >= 0.0, "Simulation::resume_in: negative delay");
-    return schedule_action(now_ + delay, EventAction::resume(h));
+    schedule_resume(now_ + delay, h);
   }
   /// Schedules resumption at now(), after pending same-time events.
-  void resume_soon(std::coroutine_handle<> h) {
-    (void)schedule_action(now_, EventAction::resume(h));
-  }
+  void resume_soon(std::coroutine_handle<> h) { schedule_resume(now_, h); }
   /// Registers/unregisters live process frames for cleanup.  `pos` lives
   /// in the frame's promise: the kernel keeps it equal to the frame's
   /// index in the registry, so unregistering needs no lookup.
@@ -292,18 +299,40 @@ class Simulation {
     std::uint32_t next_free = kNoSlot;
   };
 
+  /// What a calendar entry dispatches: a slot event's EventId
+  /// ((generation << 32) | slot; stale once the generation moves on), or
+  /// with `resume`, the address of a coroutine frame to resume.
+  struct EventRef {
+    std::uint64_t bits;
+    bool resume;
+
+    static EventRef frame(std::coroutine_handle<> h) {
+      return EventRef{reinterpret_cast<std::uintptr_t>(h.address()), true};
+    }
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(bits);
+    }
+    [[nodiscard]] std::uint32_t gen() const {
+      return static_cast<std::uint32_t>(bits >> 32);
+    }
+    [[nodiscard]] std::coroutine_handle<> handle() const {
+      return std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(static_cast<std::uintptr_t>(bits)));
+    }
+  };
+
   /// Calendar entry ordered by a single 128-bit (time, seq) key: event
   /// times are non-negative, so the IEEE bit pattern of `time` compares
   /// like the double itself, and one wide integer compare replaces the
   /// two-branch (time, seq) comparison on the calendar's hottest paths.
   struct CalendarEntry {
     unsigned __int128 key;  // (bit_cast<u64>(time) << 64) | seq
-    std::uint32_t slot;
-    std::uint32_t gen;  // stale once != slots_[slot].generation
+    std::uint64_t bits;     // EventRef::bits
     // Next node of a wheel bucket list or of the node freelist (kNoSlot
-    // ends both); unused in the heap.  It fills the key's alignment
-    // padding, so it costs no space.
+    // ends both); unused in the heap.  With the tag it fills the key's
+    // alignment padding, so neither costs space.
     std::uint32_t next = kNoSlot;
+    bool resume = false;  // EventRef::resume
 
     [[nodiscard]] SimTime time() const {
       const auto bits = static_cast<std::uint64_t>(key >> 64);
@@ -314,7 +343,10 @@ class Simulation {
     [[nodiscard]] std::uint64_t seq() const {
       return static_cast<std::uint64_t>(key);
     }
+    [[nodiscard]] EventRef ref() const { return EventRef{bits, resume}; }
   };
+  static_assert(sizeof(CalendarEntry) == 32,
+                "a calendar entry is two to a cache line");
 
   static unsigned __int128 calendar_key(SimTime time, std::uint64_t seq) {
     std::uint64_t bits;
@@ -327,12 +359,17 @@ class Simulation {
   /// now_, ordered by seq by construction.
   struct NowEntry {
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
+    EventRef ref;
   };
 
   static bool before(const CalendarEntry& a, const CalendarEntry& b) {
     return a.key < b.key;
+  }
+
+  /// False only for a slot event cancelled since `ref` was filed; a
+  /// resume is always live and its check never touches the slot pool.
+  [[nodiscard]] bool live(EventRef ref) const {
+    return ref.resume || slots_[ref.slot()].generation == ref.gen();
   }
 
   // The scheduling fast path is defined inline (below the class) so the
@@ -341,11 +378,19 @@ class Simulation {
   EventId schedule_action(SimTime at, EventAction action);
   EventId schedule_action_seq(SimTime at, std::uint64_t seq,
                               EventAction action);
+  void schedule_resume(SimTime at, std::coroutine_handle<> h);
+  /// Files the entry under (at, seq): the immediate lane when at == now_,
+  /// else the wheel or the heap.
+  void file(SimTime at, std::uint64_t seq, EventRef ref);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   bool pop_next(CalendarEntry& out, bool bounded, SimTime horizon);
   void dispatch(const CalendarEntry& entry);
-  void dispatch_profiled(EventAction& action);
+  /// Folds a dispatch of `kind` into the audit chain and runs the
+  /// amortized invariant sweep when due (audit mode only).
+  void audit_dispatch(std::uint8_t kind);
+  template <typename Run>
+  void dispatch_profiled(std::uint8_t kind, Run run);
   void rethrow_pending();
 
   /// Files a future entry (built fresh, so its `next` is kNoSlot):
@@ -385,7 +430,8 @@ class Simulation {
   std::uint64_t next_seq_ = 1;
   std::uint64_t current_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::size_t live_events_ = 0;
+  std::size_t live_slots_ = 0;    // pending slot-backed events
+  std::size_t live_resumes_ = 0;  // pending coroutine resumes
   std::size_t stale_ = 0;
   // Wheel window: wheel_base_ is the floor of the last dispatched event's
   // time (clamped to kWheelBaseLimit).  It moves only when a live event
@@ -496,25 +542,36 @@ inline void Simulation::calendar_push(SimTime at, const CalendarEntry& entry) {
   heap_push(entry);
 }
 
+inline void Simulation::file(SimTime at, std::uint64_t seq, EventRef ref) {
+  if (at == now_) {
+    // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
+    // spawns) skip the wheel and heap entirely; FIFO order == seq order.
+    now_queue_.push_back(NowEntry{seq, ref});
+  } else {
+    calendar_push(at, CalendarEntry{calendar_key(at, seq), ref.bits, kNoSlot,
+                                    ref.resume});
+  }
+}
+
 inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
   ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);
-  const std::uint64_t seq = next_seq_++;
-  if (at == now_) {
-    // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
-    // spawns) skip the wheel and heap entirely; FIFO order == seq order.
-    now_queue_.push_back(NowEntry{seq, index, slot.generation});
-  } else {
-    calendar_push(at, CalendarEntry{calendar_key(at, seq), index,
-                                    slot.generation});
-  }
-  ++live_events_;
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
                      static_cast<EventId>(index);
+  file(at, next_seq_++, EventRef{id, false});
+  ++live_slots_;
   if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id);
   return id;
+}
+
+inline void Simulation::schedule_resume(SimTime at,
+                                        std::coroutine_handle<> h) {
+  ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
+  file(at, next_seq_++, EventRef::frame(h));
+  ++live_resumes_;
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, 0);
 }
 
 inline des::EventId Simulation::schedule_action_seq(SimTime at,
@@ -527,11 +584,10 @@ inline des::EventId Simulation::schedule_action_seq(SimTime at,
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);
-  calendar_push(at, CalendarEntry{calendar_key(at, seq), index,
-                                  slot.generation});
-  ++live_events_;
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
                      static_cast<EventId>(index);
+  calendar_push(at, CalendarEntry{calendar_key(at, seq), id});
+  ++live_slots_;
   if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id);
   return id;
 }

@@ -28,6 +28,7 @@ namespace pimsim::des {
 
 /// Kind of traced kernel action.
 enum class TraceKind : std::uint8_t {
+  // a = EventId; 0 for a coroutine resume, which has none.
   kEventScheduled,
   kEventDispatched,
   kEventCancelled,

@@ -52,12 +52,18 @@ double SystemRunResult::mean_overhead_fraction() const {
 
 namespace {
 
-/// In-memory message of the statistical models: who asked, and the trigger
-/// that reactivates the waiting thread/context once the reply arrives.
-struct SimMessage {
-  NodeId src = 0;
-  des::Trigger* reply = nullptr;
+/// A remote request of the statistical models: who asked, and the trigger
+/// that reactivates the waiting thread/context once the reply arrives.  It
+/// lives on the requester's frame, which stays suspended on `reply` until
+/// the reply fires it.
+struct Request {
+  NodeId src;
+  des::Trigger reply;
 };
+
+/// What a home node's mailbox carries: a pointer to the request, so the
+/// message lambda is two pointers and fits std::function's inline buffer.
+using SimMessage = Request*;
 
 /// Picks a uniformly random remote target ("the degree of remote accesses"
 /// is uniform over the other nodes; a 1-node system loops back to itself).
@@ -140,7 +146,8 @@ class Figure10System {
  public:
   Figure10System(const SplitTransactionParams& params, const SystemKind& kind,
                  const Interconnect& net, const mem::MemorySystem* memory)
-      : p_(params), split_(kind.split), net_(net), mem_(memory) {
+      : p_(params), gap_sampler_(p_.ls_mix), split_(kind.split), net_(net),
+        mem_(memory) {
     Rng root(p_.seed, kind.stream_id);
     nodes_.reserve(p_.nodes);
     for (std::size_t i = 0; i < p_.nodes; ++i) {
@@ -203,7 +210,7 @@ class Figure10System {
     while (true) {
       // Compute run until the next memory access: each op is a load/store
       // with probability ls_mix, so the gap is geometric.
-      const std::uint64_t gap = n.rng.geometric(p_.ls_mix);
+      const std::uint64_t gap = gap_sampler_(n.rng);
       if (gap > 0) {
         co_await des::delay(sim_, static_cast<double>(gap));
         n.stats.useful_cycles += static_cast<double>(gap);
@@ -215,10 +222,10 @@ class Figure10System {
           co_await des::delay(sim_, p_.t_send);
           n.stats.overhead_cycles += p_.t_send;
         }
-        des::Trigger reply(sim_);
+        Request request{n.id, des::Trigger(sim_)};
         const SimTime blocked_at = sim_.now();
-        const std::uint64_t span = send_request(n, n.rng, reply);
-        co_await reply.wait();
+        const std::uint64_t span = send_request(n, n.rng, request);
+        co_await request.reply.wait();
         n.stats.idle_cycles += finish_request(n, span, blocked_at);
       } else {
         // Local access: the processor is in the memory-access state for
@@ -270,7 +277,7 @@ class Figure10System {
       // Run segments until this context suspends on a remote access.
       bool running = true;
       while (running) {
-        const std::uint64_t gap = rng.geometric(p_.ls_mix);
+        const std::uint64_t gap = gap_sampler_(rng);
         if (gap > 0) {
           co_await des::delay(sim_, static_cast<double>(gap));
           n.stats.useful_cycles += static_cast<double>(gap);
@@ -281,11 +288,11 @@ class Figure10System {
             co_await des::delay(sim_, p_.t_send);
             n.stats.overhead_cycles += p_.t_send;
           }
-          des::Trigger reply(sim_);
+          Request request{n.id, des::Trigger(sim_)};
           const SimTime issued_at = sim_.now();
-          const std::uint64_t span = send_request(n, rng, reply);
+          const std::uint64_t span = send_request(n, rng, request);
           n.station.release();  // split transaction: don't hold the processor
-          co_await reply.wait();
+          co_await request.reply.wait();
           finish_request(n, span, issued_at);
           running = false;  // loop around to re-acquire (pays the switch)
         } else if (mem_ != nullptr) {
@@ -346,8 +353,9 @@ class Figure10System {
   }
 
   /// Counts a remote request from `n`, opens its trace span and ships it
-  /// to a random other node, whose reply fires `reply`.  Returns the span.
-  std::uint64_t send_request(Node& n, Rng& rng, des::Trigger& reply) {
+  /// to a random other node, whose reply fires `request.reply`.  Returns
+  /// the span.
+  std::uint64_t send_request(Node& n, Rng& rng, Request& request) {
     ++n.stats.remote_requests;
     const NodeId target = pick_target(rng, n.id, p_.nodes);
     const std::uint64_t span = next_span_++;
@@ -355,7 +363,7 @@ class Figure10System {
       sim_.trace(des::TraceKind::kAsyncBegin, lbl_request_, span, n.id);
     }
     auto* box = &nodes_[target]->incoming;
-    const SimMessage msg{n.id, &reply};
+    const SimMessage msg = &request;
     ship(sim_, n.nic, p_.nic_gap, net_, n.id, target, p_.message_bytes,
          [box, msg] { box->send(msg); });
     return span;
@@ -374,11 +382,12 @@ class Figure10System {
 
   /// Ships the reply to `msg` back over the network; it wakes the requester.
   void send_reply(Node& n, SimMessage msg) {
-    ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg.src, p_.message_bytes,
-         [reply = msg.reply] { reply->fire(); });
+    ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg->src, p_.message_bytes,
+         [reply = &msg->reply] { reply->fire(); });
   }
 
   SplitTransactionParams p_;
+  GeometricSampler gap_sampler_;  ///< compute run until the next access
   bool split_;
   const Interconnect& net_;
   const mem::MemorySystem* mem_;  ///< nullptr: analytic constant path

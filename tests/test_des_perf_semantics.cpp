@@ -239,6 +239,9 @@ TEST(SimulationSemantics, CancelHeavyMixedLoadKeepsCalendarBounded) {
 /// event's (time, seq) key in a std::set.  Each callback checks that it is
 /// the reference minimum, so any reordering by the wheel, the heap, the
 /// immediate lane or their merge fails at the first misplaced event.
+/// Oracle processes add slot-free coroutine resumes to the same calendar:
+/// they co_await delays drawn like the events' and wake each other
+/// through a trigger, and each resume checks the reference minimum too.
 class CalendarOracle {
  public:
   using Key = std::pair<SimTime, std::uint64_t>;
@@ -247,7 +250,8 @@ class CalendarOracle {
 
   des::Simulation sim;
   std::uint64_t mismatches = 0;
-  std::uint64_t fired = 0;
+  std::uint64_t fired = 0;  ///< dispatches checked, resumes included
+  std::uint64_t resumes = 0;
   std::uint64_t compactions = 0;
 
   /// A delay from one of the calendar's regimes: same time (the lane),
@@ -293,6 +297,20 @@ class CalendarOracle {
     track(id, {at, seq});
   }
 
+  /// Starts an oracle process; its first resume is the spawn's.
+  void spawn_process() {
+    pending_.insert({sim.now(), next_seq_++});
+    sim.spawn(oracle_process(static_cast<int>(rng_.uniform_int(1, 6))));
+  }
+
+  /// Wakes every process waiting on the trigger, in wait order.
+  void wake_waiters() {
+    for (std::size_t i = 0; i < trigger_.waiting(); ++i) {
+      pending_.insert({sim.now(), next_seq_++});
+    }
+    trigger_.fire(/*latch=*/false);
+  }
+
   /// Cancels a random id (possibly one already dispatched).
   void cancel_one() {
     if (ids_.empty()) return;
@@ -330,8 +348,12 @@ class CalendarOracle {
   /// One random operation (the callbacks add nested scheduling).
   void random_op() {
     const double r = rng_.uniform();
-    if (r < 0.35) {
+    if (r < 0.30) {
       schedule(sim.now() + draw_delay());
+    } else if (r < 0.33) {
+      spawn_process();
+    } else if (r < 0.35) {
+      wake_waiters();
     } else if (r < 0.45) {
       reserve();
     } else if (r < 0.55) {
@@ -353,6 +375,20 @@ class CalendarOracle {
   }
 
   void fire() {
+    check_order();
+    // Nested scheduling from inside dispatch: same-time events land in
+    // the immediate lane behind calendar entries at now().
+    if (rng_.uniform() < 0.45) schedule(sim.now() + draw_delay());
+    if (rng_.uniform() < 0.05) wake_waiters();
+  }
+
+  void check_resume() {
+    ++resumes;
+    check_order();
+  }
+
+  /// Checks that the dispatch under way is the reference minimum.
+  void check_order() {
     ++fired;
     const Key got{sim.now(), sim.current_dispatch_seq()};
     if (pending_.empty() || *pending_.begin() != got) {
@@ -361,9 +397,22 @@ class CalendarOracle {
     } else {
       pending_.erase(pending_.begin());
     }
-    // Nested scheduling from inside dispatch: same-time events land in
-    // the immediate lane behind calendar entries at now().
-    if (rng_.uniform() < 0.45) schedule(sim.now() + draw_delay());
+  }
+
+  des::Process oracle_process(int rounds) {
+    check_resume();
+    for (int i = 0; i < rounds; ++i) {
+      if (rng_.uniform() < 0.3) {
+        co_await trigger_.wait();
+      } else {
+        const SimTime delay = draw_delay();
+        pending_.insert({sim.now() + delay, next_seq_++});
+        co_await des::delay(sim, delay);
+      }
+      check_resume();
+      if (rng_.uniform() < 0.3) wake_waiters();
+      if (rng_.uniform() < 0.3) schedule(sim.now() + draw_delay());
+    }
   }
 
   void track(des::EventId id, Key key) {
@@ -383,6 +432,7 @@ class CalendarOracle {
   }
 
   Rng rng_;
+  des::Trigger trigger_{sim};
   std::set<Key> pending_;
   std::vector<std::pair<des::EventId, Key>> ids_;
   std::vector<std::uint64_t> reserved_;
@@ -391,6 +441,7 @@ class CalendarOracle {
 
 TEST(CalendarDifferential, RandomOperationsMatchSortedReference) {
   std::uint64_t compactions = 0;
+  std::uint64_t resumes = 0;
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     CalendarOracle oracle(0xca1e0da5ULL + trial);
     // Odd trials also run the kernel's invariant sweep after every
@@ -406,8 +457,10 @@ TEST(CalendarDifferential, RandomOperationsMatchSortedReference) {
     ASSERT_EQ(oracle.mismatches, 0u) << "trial " << trial;
     EXPECT_GT(oracle.fired, 0u);
     compactions += oracle.compactions;
+    resumes += oracle.resumes;
   }
   EXPECT_GT(compactions, 0u);  // the cancel path did compact
+  EXPECT_GT(resumes, 1000u);   // and processes shared the calendar
 }
 
 TEST(CalendarDifferential, RunUntilPeekDoesNotMoveTheWindow) {

@@ -1,9 +1,12 @@
 // Tests for the coroutine process layer.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "des/process.hpp"
 #include "des/simulation.hpp"
 
@@ -53,7 +56,7 @@ TEST(Process, UnspawnedProcessIsDestroyedSafely) {
   double finished = -1.0;
   {
     Process p = sleeper(sim, 5.0, &finished);
-    EXPECT_FALSE(p.done());
+    EXPECT_EQ(sim.live_processes(), 0u);  // not registered until spawned
   }  // dropped without spawning
   sim.run();
   EXPECT_DOUBLE_EQ(finished, -1.0);
@@ -86,6 +89,17 @@ TEST(Process, JoinOnFinishedProcessIsImmediate) {
   sim.spawn(joiner(sim, std::move(join), &joined));
   sim.run();
   EXPECT_DOUBLE_EQ(joined, 1.0);  // completes at current time, no extra delay
+}
+
+TEST(Process, JoinNeedsTheUnspawnedHandle) {
+  Simulation sim;
+  double finished = -1.0;
+  Process worker = sleeper(sim, 1.0, &finished);
+  Process moved = std::move(worker);
+  EXPECT_THROW((void)worker.join(), LogicError);  // NOLINT(bugprone-use-after-move)
+  sim.spawn(std::move(moved));
+  sim.run();
+  EXPECT_DOUBLE_EQ(finished, 1.0);
 }
 
 Process spawn_join_parent(Simulation& sim, double* child_done, double* parent_done) {
@@ -124,6 +138,55 @@ TEST(Process, SimulationDestructionReclaimsLiveProcesses) {
   EXPECT_DOUBLE_EQ(finished, -1.0);
 }
 
+// --- the frame pool (frame_alloc / frame_free) ---------------------------
+
+TEST(FramePool, UnspawnedProcessDestroyedOnAnotherThread) {
+  Simulation sim;
+  double finished = -1.0;
+  Process p = sleeper(sim, 5.0, &finished);
+  // The frame was allocated here and is freed into the worker's list,
+  // which the worker returns to the heap when it exits.
+  std::thread([q = std::move(p)]() mutable { Process dropped = std::move(q); })
+      .join();
+  sim.spawn(sleeper(sim, 1.0, &finished));
+  sim.run();
+  EXPECT_DOUBLE_EQ(finished, 1.0);
+}
+
+TEST(FramePool, SimulationOutlivesTheWorkerThatRanIt) {
+  double finished = -1.0;
+  auto sim = std::make_unique<Simulation>();
+  std::thread([&] {
+    sim->spawn(sleeper(*sim, 1.0, &finished));     // freed on the worker
+    sim->spawn(sleeper(*sim, 1000.0, &finished));  // still suspended
+    sim->run_until(10.0);
+  }).join();
+  EXPECT_DOUBLE_EQ(finished, 1.0);
+  EXPECT_EQ(sim->live_processes(), 1u);
+  sim.reset();  // frees the worker's frame here, after the worker exited
+  Simulation again;
+  again.spawn(sleeper(again, 2.0, &finished));
+  again.run();
+  EXPECT_DOUBLE_EQ(finished, 2.0);
+}
+
+TEST(FramePool, FrameFreedAfterItsThreadsPoolIsGone) {
+  double finished = -1.0;
+  std::thread([&finished] {
+    // Constructed before this thread's pool is armed, so destroyed after
+    // the pool at thread exit: its suspended frame must go straight back
+    // to the heap.
+    // lint:allow(mutable-static): the thread-exit order is what is tested
+    thread_local Simulation late;
+    late.spawn(sleeper(late, 1000.0, &finished));
+    late.run_until(1.0);
+    Simulation sim;  // a finished frame arms the pool
+    sim.spawn(sleeper(sim, 1.0, &finished));
+    sim.run();
+  }).join();
+  EXPECT_DOUBLE_EQ(finished, 1.0);
+}
+
 Process wait_on(Simulation& sim, Trigger& trigger, double* woke_at) {
   co_await trigger.wait();
   *woke_at = sim.now();
@@ -149,6 +212,31 @@ TEST(Trigger, LatchedTriggerPassesLateWaitersThrough) {
   sim.schedule_at(5.0, [&] { sim.spawn(wait_on(sim, trigger, &woke)); });
   sim.run();
   EXPECT_DOUBLE_EQ(woke, 5.0);
+}
+
+TEST(Trigger, FireWakesWaitersInWaitOrder) {
+  // The first waiter is held inline and the rest in a vector; the wake-up
+  // order is the wait order either way, and the trigger is reusable.
+  Simulation sim;
+  Trigger trigger(sim);
+  std::vector<int> order;
+  auto waiter = [](Trigger& t, std::vector<int>& out, int id) -> Process {
+    co_await t.wait();
+    out.push_back(id);
+  };
+  for (int id = 0; id < 5; ++id) sim.spawn(waiter(trigger, order, id));
+  sim.schedule_at(3.0, [&] {
+    EXPECT_EQ(trigger.waiting(), 5u);
+    trigger.fire(/*latch=*/false);
+    EXPECT_EQ(trigger.waiting(), 0u);
+  });
+  sim.schedule_at(4.0, [&] { sim.spawn(waiter(trigger, order, 5)); });
+  sim.schedule_at(5.0, [&] {
+    EXPECT_EQ(trigger.waiting(), 1u);
+    trigger.fire();
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Trigger, ResetReArms) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <random>
 #include <set>
 
 #include "common/error.hpp"
@@ -130,6 +132,51 @@ TEST(Rng, GeometricMeanMatches) {
 TEST(Rng, GeometricWithPOneIsZero) {
   Rng rng(41);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+TEST(GeometricSampler, MatchesStdGeometricDistributionBitForBit) {
+  // 8 p values x 1.3 M draws: over 10^7 draws, from p near 0 (values in
+  // the trillions) to p near 1 (almost all zeros).  Each side runs its
+  // own copy of one stream, so a draw consumed differently shows up as
+  // a mismatch from there on.
+  const double ps[] = {1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9,
+                       1.0 - 1e-15};
+  constexpr int kDraws = 1'300'000;
+  for (std::size_t i = 0; i < std::size(ps); ++i) {
+    const double p = ps[i];
+    Rng sampler_rng(0x6e0, i);
+    Rng std_rng(0x6e0, i);
+    const GeometricSampler sample(p);
+    std::geometric_distribution<std::uint64_t> dist(p);
+    std::uint64_t mismatches = 0;
+    for (int k = 0; k < kDraws; ++k) {
+      mismatches += sample(sampler_rng) != dist(std_rng.engine()) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "p = " << p;
+    EXPECT_EQ(sampler_rng.engine()(), std_rng.engine()()) << "p = " << p;
+  }
+}
+
+TEST(GeometricSampler, CertainSuccessIsZeroWithoutADraw) {
+  // std::geometric_distribution(1) also yields only zeros, but spends a
+  // draw on each; the sampler, like Rng::geometric, spends none.
+  Rng rng(59);
+  Rng untouched(59);
+  std::geometric_distribution<std::uint64_t> dist(1.0);
+  const GeometricSampler sample(1.0);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(sample(rng), dist(untouched.engine()));
+  }
+  EXPECT_EQ(rng.engine()(), Rng(59).engine()());
+}
+
+TEST(GeometricSampler, RngGeometricIsTheSampler) {
+  Rng a(61);
+  Rng b(61);
+  const GeometricSampler sample(0.3);
+  for (int i = 0; i < 10'000; ++i) EXPECT_EQ(a.geometric(0.3), sample(b));
+  EXPECT_THROW(GeometricSampler(0.0), ConfigError);
+  EXPECT_THROW(GeometricSampler(1.5), ConfigError);
 }
 
 TEST(Rng, ExponentialMeanMatches) {
