@@ -1,10 +1,11 @@
-// FIFO queue for the kernel's waiter and message queues.
+// FIFO queue for the kernel's waiter and message queues and the packet
+// network's per-link segment queues.
 //
 // A power-of-two ring over one vector that never gives memory back: once
 // it has grown to its peak length, pushing and popping allocate nothing.
 // (std::deque frees and reallocates a node every 512 bytes of traffic,
 // which a steady request stream pays over and over.)  A popped slot keeps
-// a moved-from T until it is reused.
+// its moved-from T until it is reused.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,11 @@ class Fifo {
  public:
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] T& front() { return buf_[head_]; }
   [[nodiscard]] const T& front() const { return buf_[head_]; }
+  [[nodiscard]] T& back() {
+    return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
+  }
 
   void push_back(T value) {
     if (size_ == buf_.size()) grow();
@@ -26,12 +31,9 @@ class Fifo {
     ++size_;
   }
 
-  /// Removes and returns the oldest element.
-  T pop_front() {
-    T value = std::move(buf_[head_]);
+  void pop_front() {
     head_ = (head_ + 1) & (buf_.size() - 1);
     --size_;
-    return value;
   }
 
  private:

@@ -34,7 +34,8 @@ class Mailbox {
 
     bool await_ready() {
       if (box_.items_.empty()) return false;
-      slot_ = box_.items_.pop_front();
+      slot_ = std::move(box_.items_.front());
+      box_.items_.pop_front();
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
@@ -67,7 +68,8 @@ class Mailbox {
     // the lazy label interning is not free on a path this hot.
     if (sim_.tracing_enabled()) sim_.trace(TraceKind::kMailboxSend, trace_label());
     if (!waiters_.empty()) {
-      const Waiter w = waiters_.pop_front();
+      const Waiter w = waiters_.front();
+      waiters_.pop_front();
       *w.slot = std::move(value);
       sim_.resume_soon(w.handle);
     } else {
@@ -81,7 +83,9 @@ class Mailbox {
   /// Non-blocking receive.
   [[nodiscard]] std::optional<T> try_receive() {
     if (items_.empty()) return std::nullopt;
-    return items_.pop_front();
+    T v = std::move(items_.front());
+    items_.pop_front();
+    return v;
   }
 
   [[nodiscard]] std::size_t pending() const { return items_.size(); }

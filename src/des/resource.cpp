@@ -69,7 +69,8 @@ void Resource::drain_queue() {
   // Strict FIFO: stop at the first waiter that does not fit.  Each grant
   // wake-up is a raw coroutine-resume calendar entry — no allocation.
   while (!queue_.empty() && capacity_ - in_use_ >= queue_.front().n) {
-    const Waiter w = queue_.pop_front();
+    const Waiter w = queue_.front();
+    queue_.pop_front();
     queued_.set(sim_.now(), static_cast<double>(queue_.size()));
     grant(w.n, w.enqueued_at);
     sim_.resume_soon(w.handle);

@@ -20,21 +20,6 @@ inline bool fifo_before(double ready_a, std::uint64_t key_a, double ready_b,
 
 }  // namespace
 
-// --- segment ring --------------------------------------------------------
-
-void PacketNetwork::SegRing::push_back(const Segment& seg) {
-  if (count == buf.size()) {
-    std::vector<Segment> grown(buf.empty() ? 8 : buf.size() * 2);
-    for (std::size_t i = 0; i < count; ++i) {
-      grown[i] = buf[(head + i) & (buf.size() - 1)];
-    }
-    buf.swap(grown);
-    head = 0;
-  }
-  buf[(head + count) & (buf.size() - 1)] = seg;
-  ++count;
-}
-
 // --- packet pool ---------------------------------------------------------
 
 PacketNetwork::PacketRec& PacketNetwork::rec(Handle handle) {

@@ -54,6 +54,7 @@
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "des/fifo.hpp"
 #include "des/simulation.hpp"
 #include "interconnect/packet.hpp"
 #include "interconnect/topology.hpp"
@@ -151,23 +152,7 @@ class PacketNetwork {
   };
 
   /// Flat FIFO ring of segments (amortized allocation-free).
-  struct SegRing {
-    std::vector<Segment> buf;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    [[nodiscard]] bool empty() const { return count == 0; }
-    [[nodiscard]] Segment& front() { return buf[head]; }
-    [[nodiscard]] const Segment& front() const { return buf[head]; }
-    [[nodiscard]] Segment& back() {
-      return buf[(head + count - 1) & (buf.size() - 1)];
-    }
-    void pop_front() {
-      head = (head + 1) & (buf.size() - 1);
-      --count;
-    }
-    void push_back(const Segment& seg);
-  };
+  using SegRing = des::Fifo<Segment>;
 
   /// A pending stream of deferred credit returns at times first,
   /// first+stride, ...: what a coalesced train (or an elided ejection

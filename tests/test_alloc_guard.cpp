@@ -20,16 +20,28 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: once inlined, GCC's -Wmismatched-new-delete flags
+// the free() of a block that came from operator new.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete[](void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
-void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete[](void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete[](void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace pimsim::parcel {
 namespace {
