@@ -379,9 +379,6 @@ class Simulation {
   EventId schedule_action_seq(SimTime at, std::uint64_t seq,
                               EventAction action);
   void schedule_resume(SimTime at, std::coroutine_handle<> h);
-  /// Files the entry under (at, seq): the immediate lane when at == now_,
-  /// else the wheel or the heap.
-  void file(SimTime at, std::uint64_t seq, EventRef ref);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   bool pop_next(CalendarEntry& out, bool bounded, SimTime horizon);
@@ -542,17 +539,6 @@ inline void Simulation::calendar_push(SimTime at, const CalendarEntry& entry) {
   heap_push(entry);
 }
 
-inline void Simulation::file(SimTime at, std::uint64_t seq, EventRef ref) {
-  if (at == now_) {
-    // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
-    // spawns) skip the wheel and heap entirely; FIFO order == seq order.
-    now_queue_.push_back(NowEntry{seq, ref});
-  } else {
-    calendar_push(at, CalendarEntry{calendar_key(at, seq), ref.bits, kNoSlot,
-                                    ref.resume});
-  }
-}
-
 inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
   ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
   const std::uint32_t index = acquire_slot();
@@ -560,7 +546,14 @@ inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
   slot.action = std::move(action);
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
                      static_cast<EventId>(index);
-  file(at, next_seq_++, EventRef{id, false});
+  const std::uint64_t seq = next_seq_++;
+  if (at == now_) {
+    // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
+    // spawns) skip the wheel and heap entirely; FIFO order == seq order.
+    now_queue_.push_back(NowEntry{seq, EventRef{id, false}});
+  } else {
+    calendar_push(at, CalendarEntry{calendar_key(at, seq), id});
+  }
   ++live_slots_;
   if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id);
   return id;
@@ -569,7 +562,14 @@ inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
 inline void Simulation::schedule_resume(SimTime at,
                                         std::coroutine_handle<> h) {
   ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
-  file(at, next_seq_++, EventRef::frame(h));
+  const EventRef ref = EventRef::frame(h);
+  const std::uint64_t seq = next_seq_++;
+  if (at == now_) {
+    now_queue_.push_back(NowEntry{seq, ref});
+  } else {
+    calendar_push(at, CalendarEntry{calendar_key(at, seq), ref.bits, kNoSlot,
+                                    true});
+  }
   ++live_resumes_;
   if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, 0);
 }
