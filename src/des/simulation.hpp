@@ -373,8 +373,8 @@ class Simulation {
   }
 
   // The scheduling fast path is defined inline (below the class) so the
-  // resume_* hooks and template schedule_* compile down to a freelist pop,
-  // a tag store, and one queue push at every call site.
+  // resume_* hooks compile down to a seq bump and one queue push at every
+  // call site, and template schedule_* add a freelist pop and a tag store.
   EventId schedule_action(SimTime at, EventAction action);
   EventId schedule_action_seq(SimTime at, std::uint64_t seq,
                               EventAction action);
