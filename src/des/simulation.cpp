@@ -325,7 +325,7 @@ bool Simulation::pop_next(CalendarEntry& out, bool bounded, SimTime horizon) {
         continue;
       }
       out = CalendarEntry{calendar_key(now_, entry.seq), entry.ref.bits,
-                          kNoSlot, entry.ref.resume};
+                          kNoSlot, entry.ref.resume ? 1U : 0U};
       return true;
     }
     if (front == nullptr) return false;
@@ -470,7 +470,7 @@ void Simulation::audit_check_now() const {
   // pending resume; the count is taken over the heap, the wheel and the
   // lane.
   std::size_t resumes = 0;
-  for (const CalendarEntry& entry : heap_) resumes += entry.resume ? 1 : 0;
+  for (const CalendarEntry& entry : heap_) resumes += entry.resume;
   for (std::size_t i = now_head_; i < now_queue_.size(); ++i) {
     resumes += now_queue_[i].ref.resume ? 1 : 0;
   }
@@ -503,7 +503,7 @@ void Simulation::audit_check_now() const {
              "Simulation audit: wheel entry outside its bucket's cycle");
       ensure(last == kNoSlot || before(wheel_nodes_[last], wheel_nodes_[node]),
              "Simulation audit: wheel bucket order violated");
-      resumes += wheel_nodes_[node].resume ? 1 : 0;
+      resumes += wheel_nodes_[node].resume;
       last = node;
     }
     ensure(wheel_tail_[bucket] == last,

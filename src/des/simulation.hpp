@@ -40,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -332,7 +333,10 @@ class Simulation {
     // ends both); unused in the heap.  With the tag it fills the key's
     // alignment padding, so neither costs space.
     std::uint32_t next = kNoSlot;
-    bool resume = false;  // EventRef::resume
+    // EventRef::resume.  A full word, so the entry has no padding bytes
+    // and copies as two aligned 16-byte moves (a partial copy of a bool
+    // tail stalls store forwarding on the dispatch path).
+    std::uint32_t resume = 0;
 
     [[nodiscard]] SimTime time() const {
       const auto bits = static_cast<std::uint64_t>(key >> 64);
@@ -343,10 +347,11 @@ class Simulation {
     [[nodiscard]] std::uint64_t seq() const {
       return static_cast<std::uint64_t>(key);
     }
-    [[nodiscard]] EventRef ref() const { return EventRef{bits, resume}; }
+    [[nodiscard]] EventRef ref() const { return EventRef{bits, resume != 0}; }
   };
-  static_assert(sizeof(CalendarEntry) == 32,
-                "a calendar entry is two to a cache line");
+  static_assert(sizeof(CalendarEntry) == 32 &&
+                    std::has_unique_object_representations_v<CalendarEntry>,
+                "a calendar entry is two to a cache line, with no padding");
 
   static unsigned __int128 calendar_key(SimTime time, std::uint64_t seq) {
     std::uint64_t bits;
@@ -568,7 +573,7 @@ inline void Simulation::schedule_resume(SimTime at,
     now_queue_.push_back(NowEntry{seq, ref});
   } else {
     calendar_push(at, CalendarEntry{calendar_key(at, seq), ref.bits, kNoSlot,
-                                    true});
+                                    1});
   }
   ++live_resumes_;
   if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, 0);
